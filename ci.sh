@@ -119,17 +119,14 @@ echo "==> golden snapshot tests (rendering stability)"
 cargo test -q -p ld-sim --test snapshot_report
 
 echo "==> cargo build --release --features obs (instrumented build + obs goldens/neutrality)"
-cargo build --release --features obs
+# Its own target dir, so ./target/release/repro stays the plain build.
+cargo build --release --features obs --target-dir target/obs
 cargo test -q -p ld-sim --test snapshot_report --test obs_neutrality --features obs
 
-echo "==> perf-baseline gate (quick bench run vs newest committed BENCH_*.json)"
-./target/release/repro bench-baseline --quick --out target/bench-current.json
-baseline=$(ls BENCH_*.json 2>/dev/null | sort -V | tail -n 1 || true)
-if [ -n "${baseline:-}" ]; then
-  echo "    comparing against ${baseline}"
-  ./target/release/repro bench-compare "${baseline}" target/bench-current.json
-else
-  echo "    no committed BENCH_*.json baseline yet; skipping comparison"
-fi
+echo "==> perfbench tests (its own workspace: builds against the crates' public API)"
+cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
+
+echo "==> perf gate (perfbench A/B against the base commit on this host, BENCHMARK.json bounds)"
+./target/release/repro perf-gate
 
 echo "==> ci.sh: all green"

@@ -1,860 +1,9 @@
-//! The pinned perf-baseline micro-suite behind `repro bench-baseline`.
-//!
-//! Each bench runs a fixed workload (fixed seed, fixed size) for a
-//! number of timed iterations and reports mean/p50/p99 nanoseconds per
-//! iteration. `--quick` reduces only the *iteration counts*, never the
-//! workload sizes, so quick and full runs measure the same per-iteration
-//! cost and are comparable in the regression gate.
-//!
-//! Results serialize to a `BENCH_<pr>.json` file with a deliberately
-//! flat schema (`{bench, n, iters, ns_per_iter, p50, p99}`), written and
-//! parsed by hand here. `ci.sh` runs [`compare`] against the
-//! last committed `BENCH_*.json` and fails on a >30% per-iteration
-//! regression (gated on p50 — see [`gate_ns`]) in any bench present in
-//! both files; benches that exist on only one side are skipped (suites
-//! may grow or shrink between PRs).
+//! Constants the end-to-end benchmark (`perfbench/`) shares with the
+//! engine's callers.
 
-use crate::engine::Engine;
-use crate::error::{Result, SimError};
-use ld_core::delegation::{Action, DelegationGraph};
-use ld_core::mechanisms::ApprovalThreshold;
-use ld_core::tally::TieBreak;
-use ld_core::{CompetencyProfile, ProblemInstance};
-use ld_live::workload::{Trace, TraceConfig};
-use ld_live::LiveEngine;
-use ld_prob::poisson_binomial::WeightedBernoulliSum;
-use ld_prob::rng::{stream_rng, Rng};
-use std::path::Path;
-use std::time::Instant;
-
-/// The default regression tolerance: fail beyond +30% `ns_per_iter`.
-pub const DEFAULT_TOLERANCE: f64 = 0.30;
-
-/// Monte Carlo samples per trial in the packed `estimate_gain` benches.
-/// 32 words of 64 packed coins keep the sampling error on `p_mechanism`
-/// near the exact kernel's own tie-credit granularity while leaving the
-/// packed path dominated by resolution, not coin drawing.
+/// Monte Carlo samples per trial for a packed-tally `estimate_gain`
+/// (`Engine::with_packed_tally`). 32 words of 64 packed coins keep the
+/// sampling error on `p_mechanism` near the exact kernel's own tie-credit
+/// granularity while leaving the packed path dominated by resolution, not
+/// coin drawing.
 pub const PACKED_SAMPLES: u32 = 32;
-
-/// One pinned micro-benchmark's measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchResult {
-    /// Bench name (stable across PRs; the comparison key).
-    pub bench: String,
-    /// Workload size (voters).
-    pub n: usize,
-    /// Timed iterations.
-    pub iters: u64,
-    /// Mean nanoseconds per iteration.
-    pub ns_per_iter: f64,
-    /// Median per-iteration nanoseconds.
-    pub p50: f64,
-    /// 99th-percentile per-iteration nanoseconds.
-    pub p99: f64,
-}
-
-/// One bench that got slower than the tolerance allows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Bench name.
-    pub bench: String,
-    /// Baseline ns/iter (p50 when both files record it, mean otherwise).
-    pub old_ns: f64,
-    /// Current ns/iter (same statistic as `old_ns`).
-    pub new_ns: f64,
-    /// `new_ns / old_ns`.
-    pub ratio: f64,
-}
-
-fn percentile(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx] as f64
-}
-
-/// Times `iters` iterations of `work` (after one untimed warmup).
-fn time_iters(bench: &str, n: usize, iters: u64, mut work: impl FnMut()) -> BenchResult {
-    work();
-    let mut samples = Vec::with_capacity(iters as usize);
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        work();
-        samples.push(t0.elapsed().as_nanos() as u64);
-    }
-    let total: u64 = samples.iter().sum();
-    samples.sort_unstable();
-    BenchResult {
-        bench: bench.to_string(),
-        n,
-        iters,
-        ns_per_iter: total as f64 / iters.max(1) as f64,
-        p50: percentile(&samples, 0.50),
-        p99: percentile(&samples, 0.99),
-    }
-}
-
-/// A deterministic acyclic action vector: each voter either votes or
-/// delegates to a strictly smaller index.
-fn acyclic_actions(n: usize, seed: u64) -> Vec<Action> {
-    let mut rng = stream_rng(seed, 0xBE_EC);
-    (0..n)
-        .map(|v| {
-            if v > 0 && rng.gen_bool(0.6) {
-                Action::Delegate(rng.gen_range(0..v))
-            } else {
-                Action::Vote
-            }
-        })
-        .collect()
-}
-
-fn bench_instance(n: usize, seed: u64) -> Result<ProblemInstance> {
-    let mut rng = stream_rng(seed, 0xBE_ED);
-    let mut ps: Vec<f64> = (0..n).map(|_| rng.gen_range(0.35..0.65)).collect();
-    ps.sort_by(|a, b| a.partial_cmp(b).expect("competencies are finite"));
-    Ok(ProblemInstance::new(
-        ld_graph::generators::complete(n),
-        CompetencyProfile::new(ps)?,
-        0.05,
-    )?)
-}
-
-/// Runs the pinned suite. `quick` divides iteration counts by 10
-/// (workload sizes are unchanged, so the per-iteration numbers remain
-/// comparable to a full run).
-///
-/// # Errors
-///
-/// Propagates construction errors from the workloads; a healthy build
-/// never returns them.
-pub fn run_baseline(seed: u64, quick: bool) -> Result<Vec<BenchResult>> {
-    let iters = |full: u64| if quick { (full / 10).max(5) } else { full };
-    let mut out = Vec::new();
-
-    // resolve: from-scratch delegation resolution into the flat CSR
-    // arena, n = 10_000. The scratch forest is reused across iterations
-    // the way the trial scheduler reuses it across trials, so this times
-    // the steady-state kernel, not allocator churn.
-    {
-        let n = 10_000;
-        let dg = DelegationGraph::new(acyclic_actions(n, seed));
-        let mut forest = ld_core::csr::CsrForest::with_capacity(n);
-        out.push(time_iters("resolve", n, iters(200), || {
-            forest.resolve(&dg).expect("acyclic by construction");
-        }));
-    }
-
-    // tally_exact: exact Poisson-binomial majority, n = 256 sinks.
-    {
-        let n = 256;
-        let mut rng = stream_rng(seed, 0xBE_EE);
-        let terms: Vec<(usize, f64)> = (0..n).map(|_| (1, rng.gen_range(0.3..0.7))).collect();
-        let credit = TieBreak::Incorrect.credit();
-        out.push(time_iters("tally_exact", n, iters(200), || {
-            let sum = WeightedBernoulliSum::new(&terms).expect("valid terms");
-            let _ = sum.majority_with_ties(n, credit);
-        }));
-    }
-
-    // estimate_gain: 32 Monte Carlo trials on a complete graph, n = 256.
-    {
-        let n = 256;
-        let instance = bench_instance(n, seed)?;
-        let mech = ApprovalThreshold::new(1);
-        for (name, workers, count) in [("estimate_gain_seq", 1, 50), ("estimate_gain_par2", 2, 50)]
-        {
-            let engine = Engine::new(seed).with_workers(workers);
-            let mut failure = None;
-            let result = time_iters(name, n, iters(count), || {
-                if let Err(e) = engine.estimate_gain(&instance, &mech, 32) {
-                    failure = Some(e);
-                }
-            });
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            out.push(result);
-        }
-    }
-
-    // estimate_gain_*_1k: same comparison at n = 1024, plus the
-    // bit-packed Monte Carlo tally kernel sequentially and on eight
-    // workers — the size class the packed speedup gate pins; see
-    // [`check_packed_speedup_gate`].
-    {
-        let n = 1024;
-        let instance = bench_instance(n, seed)?;
-        let mech = ApprovalThreshold::new(1);
-        for (name, workers, count) in [
-            ("estimate_gain_seq_1k", 1, 20),
-            ("estimate_gain_par2_1k", 2, 20),
-        ] {
-            let engine = Engine::new(seed).with_workers(workers);
-            let mut failure = None;
-            let result = time_iters(name, n, iters(count), || {
-                if let Err(e) = engine.estimate_gain(&instance, &mech, 16) {
-                    failure = Some(e);
-                }
-            });
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            out.push(result);
-        }
-        for (name, workers, count) in [
-            ("estimate_gain_packed_seq_1k", 1, 20),
-            ("estimate_gain_packed_par8_1k", 8, 20),
-        ] {
-            let engine = Engine::new(seed)
-                .with_workers(workers)
-                .with_packed_tally(PACKED_SAMPLES);
-            let mut failure = None;
-            let result = time_iters(name, n, iters(count), || {
-                if let Err(e) = engine.estimate_gain(&instance, &mech, 16) {
-                    failure = Some(e);
-                }
-            });
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            out.push(result);
-        }
-        if !quick {
-            check_packed_speedup_gate(&out)?;
-        }
-    }
-
-    // live_update / live_batch64: incremental engine under churn,
-    // n = 10_000. One iteration = one apply / one 64-update batch.
-    {
-        let n = 10_000;
-        let updates: Vec<_> = Trace::new(TraceConfig::balanced(n), seed)
-            .map_err(|reason| SimError::Config { reason })?
-            .take(40_000)
-            .collect();
-        let competences = TraceConfig::balanced(n).initial_competences(seed);
-        let fresh = || {
-            LiveEngine::new(vec![Action::Vote; n], competences.clone()).map_err(|e| {
-                SimError::Config {
-                    reason: format!("bench engine: {e}"),
-                }
-            })
-        };
-        let mut live = fresh()?;
-        let count = iters(20_000) as usize;
-        let mut i = 0usize;
-        out.push(time_iters("live_update", n, count as u64, || {
-            let _ = live.apply(updates[i % updates.len()]);
-            i += 1;
-        }));
-        let mut live = fresh()?;
-        let batches = iters(300) as usize;
-        let mut b = 0usize;
-        out.push(time_iters("live_batch64", n, batches as u64, || {
-            let start = (b * 64) % (updates.len() - 64);
-            let _ = live.apply_batch(&updates[start..start + 64]);
-            b += 1;
-        }));
-    }
-
-    // ranked_resolve_1k: ranked selection (MinDepth + MinSum) plus the
-    // CSR resolve of both selected forests over a deterministic
-    // 1024-voter preference profile — the per-epoch cost of a ranked
-    // election at the dynamics size class.
-    {
-        use ld_core::ranked::{
-            resolve_ranked, DelegationRule, RankedBallot, RankedProfile, MAX_RANKS,
-        };
-        let n = 1024;
-        let mut rng = stream_rng(seed, 0xBE_F0);
-        let ballots: Vec<RankedBallot> = (0..n)
-            .map(|v| {
-                if v == 0 || rng.gen_bool(0.2) {
-                    RankedBallot::Cast
-                } else {
-                    let len = rng.gen_range(1..=MAX_RANKS.min(v));
-                    let mut list = Vec::with_capacity(len);
-                    while list.len() < len {
-                        let t = rng.gen_range(0..v);
-                        if !list.contains(&t) {
-                            list.push(t);
-                        }
-                    }
-                    RankedBallot::Ranked(list)
-                }
-            })
-            .collect();
-        let profile = RankedProfile::new(ballots).map_err(|e| SimError::Config {
-            reason: format!("bench ranked profile: {e}"),
-        })?;
-        let mut failure = None;
-        let result = time_iters("ranked_resolve_1k", n, iters(100), || {
-            for rule in DelegationRule::all() {
-                if let Err(e) = resolve_ranked(&profile, rule) {
-                    failure = Some(e);
-                }
-            }
-        });
-        if let Some(e) = failure {
-            return Err(SimError::Config {
-                reason: format!("ranked bench resolve: {e}"),
-            });
-        }
-        out.push(result);
-    }
-
-    // graph_regular: random d-regular generation, n = 2048.
-    {
-        let n = 2048;
-        let mut rng = stream_rng(seed, 0xBE_EF);
-        out.push(time_iters("graph_regular", n, iters(50), || {
-            ld_graph::generators::random_regular(n, 8, &mut rng).expect("feasible degree");
-        }));
-    }
-
-    // dynamics_round_1k: one full best-response round on a
-    // Watts–Strogatz ring at n = 1024 — the proposal sweep (score every
-    // voter's keep / direct-vote / neighbour deviations against an
-    // immutable snapshot) plus the batch apply onto a fresh engine.
-    // The snapshot is fixed so every iteration prices the same round;
-    // trajectory iteration costs are this times the round count.
-    {
-        use crate::dynamics::{prepare_cell, DynCell, DynTopology};
-        use ld_live::dynamics::{propose_moves, MoveRule, RoundSnapshot, TieBreakRule};
-        use ld_live::Update;
-        let n = 1024;
-        let cell = DynCell {
-            topology: DynTopology::WattsStrogatz(6, 0.1),
-            n,
-        };
-        let prepared = prepare_cell(&cell, seed)?;
-        let engine = LiveEngine::new(
-            prepared.initial.clone(),
-            prepared.instance.profile().as_slice().to_vec(),
-        )
-        .map_err(|e| SimError::Config {
-            reason: format!("bench dynamics engine: {e}"),
-        })?;
-        let snap = RoundSnapshot::from_engine(&engine);
-        let rules = vec![MoveRule::BestResponse; n];
-        out.push(time_iters("dynamics_round_1k", n, iters(100), || {
-            let proposals = propose_moves(&prepared.view, &snap, &rules, TieBreakRule::Canonical);
-            let updates: Vec<Update> = proposals
-                .iter()
-                .map(|&(voter, ref a)| match *a {
-                    Action::Vote => Update::Vote { voter },
-                    Action::Delegate(target) => Update::Delegate { voter, target },
-                    _ => unreachable!("best_move only proposes Vote/Delegate"),
-                })
-                .collect();
-            let mut round_engine = engine.clone();
-            let _ = round_engine.apply_batch(&updates);
-        }));
-    }
-
-    // wal_append_1m: one WAL record append (fsync every 1024) from a
-    // prepared update stream; the full run appends 1M records — the
-    // write-path budget of an n = 10⁷-scale durable harness run.
-    {
-        use ld_store::{FaultPlan, Store, StoreOptions};
-        let n = 10_000;
-        let dir = crate::durable::scratch_dir("bench-wal-append");
-        let engine = LiveEngine::new(
-            vec![Action::Vote; n],
-            TraceConfig::balanced(n).initial_competences(seed),
-        )
-        .map_err(|e| SimError::Config {
-            reason: format!("bench engine: {e}"),
-        })?;
-        let updates: Vec<_> = Trace::new(TraceConfig::balanced(n), seed)
-            .map_err(|reason| SimError::Config { reason })?
-            .take(4_096)
-            .collect();
-        let mut store = Store::create(
-            &dir,
-            &engine,
-            StoreOptions {
-                sync_every: 1024,
-                snapshot_every: 0,
-                fault: FaultPlan::none(),
-            },
-        )?;
-        let mut i = 0usize;
-        let mut failure = None;
-        let result = time_iters("wal_append_1m", n, iters(1_000_000), || {
-            if let Err(e) = store.append(&updates[i % updates.len()]) {
-                failure = Some(e);
-            }
-            i += 1;
-        });
-        drop(store);
-        std::fs::remove_dir_all(&dir).ok();
-        if let Some(e) = failure {
-            return Err(e.into());
-        }
-        out.push(result);
-    }
-
-    // recover_snapshot_1m: rehydrate a 1M-voter engine from its binary
-    // snapshot plus a short WAL tail — the fast recovery path an
-    // interrupted large run takes instead of replaying the full log.
-    {
-        use ld_store::{recover, FaultPlan, Store, StoreOptions};
-        let n = 1_000_000;
-        let dir = crate::durable::scratch_dir("bench-recover");
-        let mut engine = LiveEngine::new(vec![Action::Vote; n], vec![0.55; n]).map_err(|e| {
-            SimError::Config {
-                reason: format!("bench engine: {e}"),
-            }
-        })?;
-        let mut store = Store::create(
-            &dir,
-            &engine,
-            StoreOptions {
-                sync_every: 256,
-                snapshot_every: 0,
-                fault: FaultPlan::none(),
-            },
-        )?;
-        for u in Trace::new(TraceConfig::balanced(n), seed)
-            .map_err(|reason| SimError::Config { reason })?
-            .take(2_000)
-        {
-            if engine.apply(u).is_ok() {
-                store.append(&u)?;
-            }
-        }
-        store.compact(&engine)?;
-        // A post-snapshot tail so the bench times snapshot + replay,
-        // not snapshot alone.
-        for u in Trace::new(TraceConfig::balanced(n), seed ^ 1)
-            .map_err(|reason| SimError::Config { reason })?
-            .take(256)
-        {
-            if engine.apply(u).is_ok() {
-                store.append(&u)?;
-            }
-        }
-        store.sync()?;
-        drop(store);
-        let mut failure = None;
-        let result = time_iters("recover_snapshot_1m", n, iters(10), || {
-            if let Err(e) = recover(&dir) {
-                failure = Some(e);
-            }
-        });
-        std::fs::remove_dir_all(&dir).ok();
-        if let Some(e) = failure {
-            return Err(e.into());
-        }
-        out.push(result);
-    }
-
-    // serve_ingest / serve_publish: the service hot paths at
-    // n = 10_000, in-memory. One serve_ingest iteration is one submit
-    // through the MPSC front-end (publish_every = 0, so no epoch work
-    // rides on the measurement); one serve_publish iteration is one
-    // flush — the ingest barrier, the tally, and the epoch publish.
-    {
-        use ld_serve::{Election, ElectionConfig};
-        let n = 10_000;
-        let mut cfg = ElectionConfig::new(n as u32);
-        cfg.publish_every = 0;
-        cfg.window = std::time::Duration::ZERO;
-        cfg.competences = Some(TraceConfig::balanced(n).initial_competences(seed));
-        let updates: Vec<_> = Trace::new(TraceConfig::balanced(n), seed)
-            .map_err(|reason| SimError::Config { reason })?
-            .take(8_192)
-            .collect();
-        let election = Election::create(&cfg).map_err(|e| SimError::Config {
-            reason: format!("bench election: {e}"),
-        })?;
-        let mut i = 0usize;
-        let mut failure = None;
-        let ingest = time_iters("serve_ingest", n, iters(20_000), || {
-            if let Err(e) = election.submit(updates[i % updates.len()]) {
-                failure = Some(e);
-            }
-            i += 1;
-        });
-        let mut publish_failure = None;
-        let publish = time_iters("serve_publish", n, iters(100), || {
-            if let Err(e) = election.flush() {
-                publish_failure = Some(e);
-            }
-        });
-        election.shutdown().map_err(|e| SimError::Config {
-            reason: format!("bench election shutdown: {e}"),
-        })?;
-        if let Some(e) = failure.or(publish_failure) {
-            return Err(SimError::Config {
-                reason: format!("serve bench: {e}"),
-            });
-        }
-        out.push(ingest);
-        out.push(publish);
-    }
-
-    Ok(out)
-}
-
-/// The ratio ceiling for `estimate_gain_packed_par8_1k` over
-/// `estimate_gain_seq_1k` on hosts with at least eight cores: eight
-/// packed workers must deliver at least a 3.3× end-to-end win over the
-/// exact sequential kernel.
-const PACKED_PAR8_RATIO: f64 = 0.30;
-
-/// The fallback ceiling on narrower hosts, where the eight workers
-/// time-share too few cores to express parallel speedup: the packed
-/// kernel must still beat the exact kernel end-to-end (the mechanism
-/// run and resolve are shared, so the margin is Amdahl-limited), with
-/// headroom for scheduler oversubscription and timer noise.
-const PACKED_NARROW_RATIO: f64 = 0.90;
-
-/// The in-run packed-kernel speedup gate, enforced on full (non-quick)
-/// baselines: the bit-packed tally kernel on eight workers must finish
-/// an `estimate_gain` iteration at n = 1024 in at most 0.3× the exact
-/// sequential kernel's time. Unlike the old par2 parity gate this
-/// demands a real speedup, not mere non-regression — the packed kernel
-/// replaces an exact Poisson-binomial convolution with word-wide
-/// popcount folds, so anything slower than a 3.3× win means the packed
-/// path has rotted.
-///
-/// The old gate held on single-core hosts by construction (both sides
-/// timed the same inline loop); a 0.3× parallel demand cannot, so hosts
-/// with fewer than eight cores are gated on the Amdahl-limited
-/// [`PACKED_NARROW_RATIO`] instead — the packed kernel must still beat
-/// the exact one outright even with all eight workers folded onto one
-/// core.
-///
-/// # Errors
-///
-/// Returns [`SimError::Config`] naming both timings when the gate fails.
-fn check_packed_speedup_gate(results: &[BenchResult]) -> Result<()> {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    check_packed_speedup_gate_for(results, cores)
-}
-
-fn check_packed_speedup_gate_for(results: &[BenchResult], cores: usize) -> Result<()> {
-    let find = |name: &str| results.iter().find(|r| r.bench == name);
-    let (Some(seq), Some(par)) = (
-        find("estimate_gain_seq_1k"),
-        find("estimate_gain_packed_par8_1k"),
-    ) else {
-        return Ok(());
-    };
-    let ratio = if cores >= 8 {
-        PACKED_PAR8_RATIO
-    } else {
-        PACKED_NARROW_RATIO
-    };
-    let (seq_ns, par_ns) = gate_ns(seq, par);
-    if par_ns > seq_ns * ratio {
-        return Err(SimError::Config {
-            reason: format!(
-                "packed speedup gate: estimate_gain_packed_par8_1k at {par_ns:.1} ns/iter \
-                 exceeds {ratio:.2}× estimate_gain_seq_1k at {seq_ns:.1} ns/iter ({cores} cores)"
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// Multiplies every timing field by `factor` — a maintenance hook
-/// (`repro bench-baseline --slowdown X`) to demonstrate that the CI
-/// gate really fails on a synthetic regression.
-pub fn apply_slowdown(results: &mut [BenchResult], factor: f64) {
-    for r in results.iter_mut() {
-        r.ns_per_iter *= factor;
-        r.p50 *= factor;
-        r.p99 *= factor;
-    }
-}
-
-/// Serializes results to the flat `BENCH_*.json` schema.
-pub fn to_json(results: &[BenchResult]) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n  \"benches\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"bench\":\"{}\",\"n\":{},\"iters\":{},\"ns_per_iter\":{:.1},\"p50\":{:.1},\"p99\":{:.1}}}{}\n",
-            r.bench,
-            r.n,
-            r.iters,
-            r.ns_per_iter,
-            r.p50,
-            r.p99,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parses the flat `BENCH_*.json` schema written by [`to_json`].
-///
-/// Hand-rolled by design: the schema is flat, one object per bench, no
-/// nesting — see the module docs.
-///
-/// # Errors
-///
-/// Returns [`SimError::Config`] for text that does not follow the
-/// schema.
-pub fn parse_json(text: &str) -> Result<Vec<BenchResult>> {
-    let bad = |why: &str| SimError::Config {
-        reason: format!("bench json: {why}"),
-    };
-    let (_, body) = text
-        .split_once("\"benches\"")
-        .ok_or_else(|| bad("missing \"benches\" key"))?;
-    let mut out = Vec::new();
-    for raw in body.split('{').skip(1) {
-        let obj = raw.split('}').next().unwrap_or("");
-        let mut bench = None;
-        let mut n = None;
-        let mut iters = None;
-        let mut ns_per_iter = None;
-        let mut p50 = None;
-        let mut p99 = None;
-        for pair in obj.split(',') {
-            let Some((key, value)) = pair.split_once(':') else {
-                continue;
-            };
-            let key = key.trim().trim_matches('"');
-            let value = value.trim();
-            match key {
-                "bench" => bench = Some(value.trim_matches('"').to_string()),
-                "n" => n = value.parse::<usize>().ok(),
-                "iters" => iters = value.parse::<u64>().ok(),
-                "ns_per_iter" => ns_per_iter = value.parse::<f64>().ok(),
-                "p50" => p50 = value.parse::<f64>().ok(),
-                "p99" => p99 = value.parse::<f64>().ok(),
-                _ => {}
-            }
-        }
-        out.push(BenchResult {
-            bench: bench.ok_or_else(|| bad("bench entry without a name"))?,
-            n: n.ok_or_else(|| bad("bench entry without n"))?,
-            iters: iters.ok_or_else(|| bad("bench entry without iters"))?,
-            ns_per_iter: ns_per_iter.ok_or_else(|| bad("bench entry without ns_per_iter"))?,
-            p50: p50.unwrap_or(0.0),
-            p99: p99.unwrap_or(0.0),
-        });
-    }
-    if out.is_empty() {
-        return Err(bad("no bench entries"));
-    }
-    Ok(out)
-}
-
-/// Reads a `BENCH_*.json` file.
-///
-/// # Errors
-///
-/// I/O errors reading the file, [`SimError::Config`] for malformed
-/// content.
-pub fn read_file(path: &Path) -> Result<Vec<BenchResult>> {
-    parse_json(&std::fs::read_to_string(path)?)
-}
-
-/// Writes results to a `BENCH_*.json` file.
-///
-/// # Errors
-///
-/// I/O errors writing the file.
-pub fn write_file(results: &[BenchResult], path: &Path) -> Result<()> {
-    std::fs::write(path, to_json(results))?;
-    Ok(())
-}
-
-/// The per-iteration statistic the regression gate compares: the median
-/// when both sides record one, the mean otherwise (baselines written
-/// before p50 was serialized parse it as 0). On time-shared CI hosts
-/// the mean of a handful of iterations is dominated by hypervisor
-/// steal spikes; a code-caused slowdown moves the median too, so p50 is
-/// the honest regression signal. Means and p99 are still recorded for
-/// eyeballing tail behaviour.
-fn gate_ns(old: &BenchResult, new: &BenchResult) -> (f64, f64) {
-    if old.p50 > 0.0 && new.p50 > 0.0 {
-        (old.p50, new.p50)
-    } else {
-        (old.ns_per_iter, new.ns_per_iter)
-    }
-}
-
-/// Compares `new` against the `old` baseline: a bench regresses when
-/// its per-iteration time (see [`gate_ns`]) grows beyond
-/// `1 + tolerance` times the baseline. Benches present on only one
-/// side are skipped. Returns the regressions plus the number of
-/// benches actually compared.
-pub fn compare(
-    old: &[BenchResult],
-    new: &[BenchResult],
-    tolerance: f64,
-) -> (Vec<Regression>, usize) {
-    let mut regressions = Vec::new();
-    let mut compared = 0usize;
-    for o in old {
-        let Some(n) = new.iter().find(|r| r.bench == o.bench) else {
-            continue;
-        };
-        compared += 1;
-        let (old_ns, new_ns) = gate_ns(o, n);
-        if old_ns <= 0.0 {
-            continue;
-        }
-        let ratio = new_ns / old_ns;
-        if ratio > 1.0 + tolerance {
-            regressions.push(Regression {
-                bench: o.bench.clone(),
-                old_ns,
-                new_ns,
-                ratio,
-            });
-        }
-    }
-    (regressions, compared)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> Vec<BenchResult> {
-        vec![
-            BenchResult {
-                bench: "resolve".to_string(),
-                n: 10_000,
-                iters: 200,
-                ns_per_iter: 1000.0,
-                p50: 950.0,
-                p99: 1200.0,
-            },
-            BenchResult {
-                bench: "live_update".to_string(),
-                n: 10_000,
-                iters: 20_000,
-                ns_per_iter: 800.0,
-                p50: 700.0,
-                p99: 2000.0,
-            },
-        ]
-    }
-
-    #[test]
-    fn flat_json_roundtrip() {
-        let results = sample();
-        let back = parse_json(&to_json(&results)).unwrap();
-        assert_eq!(back, results);
-    }
-
-    #[test]
-    fn malformed_json_is_a_config_error() {
-        assert!(parse_json("{}").is_err());
-        assert!(parse_json("{\"benches\": []}").is_err());
-        assert!(parse_json("{\"benches\": [{\"n\":3}]}").is_err());
-    }
-
-    #[test]
-    fn synthetic_two_x_slowdown_fails_the_gate() {
-        let old = sample();
-        let mut new = sample();
-        apply_slowdown(&mut new, 2.0);
-        let (regressions, compared) = compare(&old, &new, DEFAULT_TOLERANCE);
-        assert_eq!(compared, 2);
-        assert_eq!(regressions.len(), 2, "every bench doubled");
-        assert!((regressions[0].ratio - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn within_tolerance_passes_and_missing_benches_skip() {
-        let old = sample();
-        let mut new = sample();
-        for r in new.iter_mut() {
-            // +20% < 30% tolerance
-            r.ns_per_iter *= 1.2;
-            r.p50 *= 1.2;
-        }
-        new.remove(1);
-        new.push(BenchResult {
-            bench: "brand_new".to_string(),
-            n: 1,
-            iters: 1,
-            ns_per_iter: 5.0,
-            p50: 5.0,
-            p99: 5.0,
-        });
-        let (regressions, compared) = compare(&old, &new, DEFAULT_TOLERANCE);
-        assert!(regressions.is_empty());
-        assert_eq!(compared, 1, "only the shared bench is compared");
-    }
-
-    #[test]
-    fn quick_baseline_produces_all_benches() {
-        let results = run_baseline(7, true).unwrap();
-        let names: Vec<&str> = results.iter().map(|r| r.bench.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "resolve",
-                "tally_exact",
-                "estimate_gain_seq",
-                "estimate_gain_par2",
-                "estimate_gain_seq_1k",
-                "estimate_gain_par2_1k",
-                "estimate_gain_packed_seq_1k",
-                "estimate_gain_packed_par8_1k",
-                "live_update",
-                "live_batch64",
-                "ranked_resolve_1k",
-                "graph_regular",
-                "dynamics_round_1k",
-                "wal_append_1m",
-                "recover_snapshot_1m",
-                "serve_ingest",
-                "serve_publish"
-            ]
-        );
-        for r in &results {
-            assert!(r.ns_per_iter > 0.0, "{}: zero timing", r.bench);
-            assert!(r.iters > 0);
-        }
-    }
-
-    #[test]
-    fn packed_speedup_gate_demands_a_real_win() {
-        let mk = |name: &str, ns: f64| BenchResult {
-            bench: name.to_string(),
-            n: 1024,
-            iters: 20,
-            ns_per_iter: ns,
-            p50: ns,
-            p99: ns,
-        };
-        let ok = vec![
-            mk("estimate_gain_seq_1k", 1000.0),
-            mk("estimate_gain_packed_par8_1k", 250.0),
-        ];
-        check_packed_speedup_gate_for(&ok, 8).expect("4× speedup is inside the gate");
-        let bad = vec![
-            mk("estimate_gain_seq_1k", 1000.0),
-            mk("estimate_gain_packed_par8_1k", 400.0),
-        ];
-        let err = check_packed_speedup_gate_for(&bad, 8)
-            .expect_err("a mere 2.5× speedup must trip the wide-host gate");
-        assert!(err.to_string().contains("packed speedup gate"), "{err}");
-        // On a narrow host the same 2.5× win passes (Amdahl-limited
-        // fallback), but packed merely matching exact does not.
-        check_packed_speedup_gate_for(&bad, 1).expect("2.5× passes the narrow-host gate");
-        let parity = vec![
-            mk("estimate_gain_seq_1k", 1000.0),
-            mk("estimate_gain_packed_par8_1k", 950.0),
-        ];
-        let err = check_packed_speedup_gate_for(&parity, 1)
-            .expect_err("parity with the exact kernel must trip even the narrow-host gate");
-        assert!(err.to_string().contains("packed speedup gate"), "{err}");
-        // Absent benches (e.g. a truncated result set) never trip it.
-        check_packed_speedup_gate_for(&[], 8).expect("empty set passes vacuously");
-    }
-}

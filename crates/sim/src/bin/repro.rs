@@ -20,8 +20,7 @@
 //! repro serve-recover --dir D  # restart the killed service, verify the digest
 //! repro serve --selftest       # host an election over the loopback wire codec
 //! repro serve --socket PATH    # ... or over a Unix domain socket (SIGTERM drains)
-//! repro bench-baseline --quick # pinned perf micro-suite -> BENCH_9.json
-//! repro bench-compare OLD NEW  # fail on >30% ns/iter regression
+//! repro perf-gate              # perfbench A/B against the base commit, same host
 //! repro all --obs-summary      # append the ld-obs metrics table
 //! ```
 //!
@@ -105,7 +104,7 @@ fn parse_args() -> Result<Args, String> {
                      <id>... | all | verify | sweep ... | stress ... | recover ... \
                      | store-bench ... | conformance ... | dynamics ... \
                      | serve-bench ... | serve-recover ... | serve ... \
-                     | bench-baseline ... | bench-compare OLD NEW"
+                     | perf-gate"
                 );
                 std::process::exit(0);
             }
@@ -1567,175 +1566,22 @@ fn emit_obs(obs_summary: bool, obs_jsonl: Option<&std::path::Path>) {
     }
 }
 
-/// Handles `repro bench-baseline [--quick] [--out PATH] [--seed N]
-/// [--slowdown X]`: runs the pinned perf micro-suite and writes the
-/// `BENCH_*.json` baseline (default `BENCH_9.json`). `--slowdown X` is a
-/// maintenance hook that multiplies the recorded timings, for
-/// demonstrating that the CI comparison gate really fails.
-fn run_bench_baseline_command() -> ExitCode {
-    use ld_sim::bench;
-    use ld_sim::table::Table;
-
-    let mut quick = false;
-    let mut out = PathBuf::from("BENCH_9.json");
-    let mut seed: u64 = 0x1DDE_BEAC;
-    let mut slowdown: Option<f64> = None;
-    let argv: Vec<String> = std::env::args().collect();
-    let usage = "usage: repro bench-baseline [--quick] [--out PATH] [--seed N] [--slowdown X]";
-    let mut i = 2;
-    while i < argv.len() {
-        let next = |i: usize| -> Option<&String> { argv.get(i + 1) };
-        match argv[i].as_str() {
-            "--quick" | "-q" => {
-                quick = true;
-                i += 1;
-                continue;
-            }
-            "--out" => match next(i) {
-                Some(v) => out = PathBuf::from(v),
-                None => {
-                    eprintln!("--out needs a path\n{usage}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" | "-s" => match next(i).and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => {
-                    eprintln!("bad or missing --seed value\n{usage}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--slowdown" => match next(i).and_then(|v| v.parse().ok()) {
-                Some(v) => slowdown = Some(v),
-                None => {
-                    eprintln!("bad or missing --slowdown value\n{usage}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown bench-baseline argument {other:?}\n{usage}");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 2;
+/// Handles `repro perf-gate`, which takes no arguments: the same-host
+/// perfbench A/B of [`ld_sim::perf_gate`]. Exits 1 on a regression or a
+/// correctness failure, 2 when the gate cannot run.
+fn run_perf_gate_command() -> ExitCode {
+    if let Some(extra) = std::env::args().nth(2) {
+        eprintln!("repro perf-gate takes no arguments (got {extra:?})");
+        return ExitCode::from(2);
     }
-    eprintln!(
-        "bench-baseline: {} suite, seed {seed} ...",
-        if quick { "quick" } else { "full" }
-    );
-    let mut results = match bench::run_baseline(seed, quick) {
-        Ok(r) => r,
+    match ld_sim::perf_gate::run() {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(factor) = slowdown {
-        bench::apply_slowdown(&mut results, factor);
-        eprintln!("warning: timings multiplied by {factor} (--slowdown maintenance hook)");
-    }
-    let mut table = Table::new(
-        "Perf baseline (pinned micro-suite)",
-        &["bench", "n", "iters", "ns/iter", "p50 ns", "p99 ns"],
-    );
-    for r in &results {
-        table.push([
-            r.bench.as_str().into(),
-            r.n.into(),
-            (r.iters as i64).into(),
-            r.ns_per_iter.into(),
-            r.p50.into(),
-            r.p99.into(),
-        ]);
-    }
-    print!("{}", table.to_text());
-    match bench::write_file(&results, &out) {
-        Ok(()) => {
-            eprintln!("baseline written to {}", out.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", out.display());
-            ExitCode::FAILURE
+            eprintln!("perf-gate: error: {e}");
+            ExitCode::from(2)
         }
     }
-}
-
-/// Handles `repro bench-compare OLD NEW [--tolerance T]`: exits non-zero
-/// when any bench present in both files regressed beyond the tolerance
-/// (default +30% mean ns/iter).
-fn run_bench_compare_command() -> ExitCode {
-    use ld_sim::bench;
-
-    let usage = "usage: repro bench-compare OLD.json NEW.json [--tolerance T]";
-    let mut tolerance = bench::DEFAULT_TOLERANCE;
-    let mut files: Vec<PathBuf> = Vec::new();
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 2;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--tolerance" => match argv.get(i + 1).and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    tolerance = v;
-                    i += 2;
-                }
-                None => {
-                    eprintln!("bad or missing --tolerance value\n{usage}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other if other.starts_with('-') => {
-                eprintln!("unknown bench-compare argument {other:?}\n{usage}");
-                return ExitCode::FAILURE;
-            }
-            other => {
-                files.push(PathBuf::from(other));
-                i += 1;
-            }
-        }
-    }
-    let [old_path, new_path] = files.as_slice() else {
-        eprintln!("{usage}");
-        return ExitCode::FAILURE;
-    };
-    let loaded = (|| -> ld_sim::Result<_> {
-        Ok((bench::read_file(old_path)?, bench::read_file(new_path)?))
-    })();
-    let (old, new) = match loaded {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (regressions, compared) = bench::compare(&old, &new, tolerance);
-    if compared == 0 {
-        println!(
-            "bench-compare: no overlapping benches between {} and {}; nothing to gate",
-            old_path.display(),
-            new_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    if regressions.is_empty() {
-        println!(
-            "bench-compare: PASS ({compared} bench(es) within {:.0}% of baseline)",
-            tolerance * 100.0
-        );
-        return ExitCode::SUCCESS;
-    }
-    eprintln!(
-        "bench-compare: {} REGRESSION(S) (tolerance +{:.0}%):",
-        regressions.len(),
-        tolerance * 100.0
-    );
-    for r in &regressions {
-        eprintln!(
-            "  {}: {:.0} ns/iter -> {:.0} ns/iter ({:.2}x)",
-            r.bench, r.old_ns, r.new_ns, r.ratio
-        );
-    }
-    ExitCode::FAILURE
 }
 
 fn report_quarantine(entries: &[QuarantineEntry]) {
@@ -1799,18 +1645,9 @@ fn main() -> ExitCode {
         return run_serve_command();
     }
 
-    // Perf-baseline recording and the CI regression gate.
-    if std::env::args()
-        .nth(1)
-        .is_some_and(|a| a == "bench-baseline")
-    {
-        return run_bench_baseline_command();
-    }
-    if std::env::args()
-        .nth(1)
-        .is_some_and(|a| a == "bench-compare")
-    {
-        return run_bench_compare_command();
+    // The same-host perfbench A/B against the base commit.
+    if std::env::args().nth(1).is_some_and(|a| a == "perf-gate") {
+        return run_perf_gate_command();
     }
 
     let args = match parse_args() {

@@ -29,6 +29,8 @@
 //!   host (`repro serve`).
 //! * [`verify`] — the acceptance suite: every claim as a PASS/FAIL
 //!   verdict (`repro verify`).
+//! * [`perf_gate`] — the same-host perfbench A/B against the base commit
+//!   that closes `ci.sh` (`repro perf-gate`).
 //! * [`sweep`] — user-configurable topology × mechanism × distribution
 //!   sweeps (`repro sweep --topology regular:16 --mechanism algorithm1:2
 //!   --profile uniform:0.35,0.65 --sizes 64,128,256`).
@@ -55,6 +57,7 @@ pub mod engine;
 pub mod experiments;
 pub mod harness;
 pub mod obs_report;
+pub mod perf_gate;
 pub mod ranked;
 pub mod report;
 pub mod serve;
