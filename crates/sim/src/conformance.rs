@@ -34,23 +34,24 @@ pub fn run_full_conformance(cfg: &ConformanceConfig) -> ConformanceReport {
             check_store_crash_recovery,
         ),
     ];
-    // `--only` takes a comma-separated id list; when every named check
-    // is a sim-layer one the testkit grid does not know, skip the grid
-    // instead of letting it reject the ids.
-    let only_parts: Option<Vec<&str>> = cfg.only.as_deref().map(|o| {
+    // `--only` takes a comma-separated id list: sim-layer ids go to the
+    // sim checks, the rest to the testkit grid, which is skipped when no
+    // grid ids remain.
+    let only: Option<Vec<&str>> = cfg.only.as_deref().map(|o| {
         o.split(',')
             .map(str::trim)
             .filter(|part| !part.is_empty())
             .collect()
     });
-    let only_is_sim = only_parts.as_ref().is_some_and(|parts| {
-        !parts.is_empty()
-            && parts
-                .iter()
-                .all(|p| sim_checks.iter().any(|(name, _, _)| name == p))
+    let grid_only: Option<Vec<&str>> = only.as_ref().map(|parts| {
+        parts
+            .iter()
+            .copied()
+            .filter(|p| !sim_checks.iter().any(|(name, _, _)| name == p))
+            .collect()
     });
-    let mut report = if only_is_sim {
-        ConformanceReport {
+    let mut report = match grid_only {
+        Some(rest) if rest.is_empty() => ConformanceReport {
             master_seed: cfg.seed,
             quick: cfg.quick,
             mutation: cfg.mutation.map(|m| m.id().to_string()),
@@ -59,15 +60,14 @@ pub fn run_full_conformance(cfg: &ConformanceConfig) -> ConformanceReport {
             checks_skipped: 0,
             corpus_entries: 0,
             mismatches: Vec::new(),
-        }
-    } else {
-        run_conformance(cfg)
+        },
+        rest => run_conformance(&ConformanceConfig {
+            only: rest.map(|r| r.join(",")),
+            ..cfg.clone()
+        }),
     };
     for (check, cell, run) in sim_checks {
-        if only_parts
-            .as_ref()
-            .is_some_and(|parts| !parts.contains(&check))
-        {
+        if only.as_ref().is_some_and(|parts| !parts.contains(&check)) {
             continue;
         }
         if cfg
@@ -77,27 +77,28 @@ pub fn run_full_conformance(cfg: &ConformanceConfig) -> ConformanceReport {
         {
             continue;
         }
-        match run(cfg.seed, cfg.quick) {
-            Ok(()) => report.checks_run += 1,
-            Err(detail) => {
-                report.checks_run += 1;
-                let mut repro = format!(
-                    "repro conformance --seed {} --case {cell} --only {check}",
-                    cfg.seed
-                );
-                if let Some(m) = cfg.mutation {
-                    repro.push_str(&format!(" --mutate {}", m.id()));
-                }
-                report.mismatches.push(Mismatch {
-                    check: check.to_string(),
-                    cell: cell.to_string(),
-                    seed: cfg.seed,
-                    detail,
-                    shrunk: None,
-                    repro,
-                });
-            }
+        report.checks_run += 1;
+        if let Err(detail) = run(cfg.seed, cfg.quick) {
+            report.mismatches.push(Mismatch {
+                check: check.to_string(),
+                cell: cell.to_string(),
+                seed: cfg.seed,
+                detail,
+                shrunk: None,
+                repro: cfg.repro_command(cell, check, cfg.seed),
+            });
         }
+    }
+    // A filter that selects nothing must not pass silently.
+    if report.checks_run == 0 && report.ok() {
+        report.mismatches.push(Mismatch {
+            check: "config".to_string(),
+            cell: String::new(),
+            seed: cfg.seed,
+            detail: "the --only/--case filters select no check to run".to_string(),
+            shrunk: None,
+            repro: "repro conformance --help".to_string(),
+        });
     }
     report
 }
@@ -334,5 +335,43 @@ mod tests {
         let report = run_full_conformance(&cfg);
         assert!(report.ok(), "{}", report.to_json());
         assert_eq!(report.checks_run, 1);
+    }
+
+    #[test]
+    fn a_mixed_only_list_splits_between_sim_and_grid() {
+        let cfg = ConformanceConfig {
+            quick: true,
+            only: Some("engine-determinism,weight-conservation".to_string()),
+            include_corpus: false,
+            ..ConformanceConfig::default()
+        };
+        let report = run_full_conformance(&cfg);
+        assert!(report.ok(), "{}", report.to_json());
+        // One weight-conservation run (or skip) per grid cell, plus the
+        // engine check.
+        assert!(report.cells > 0);
+        assert_eq!(report.checks_run + report.checks_skipped, report.cells + 1);
+        let bad = ConformanceConfig {
+            only: Some("engine-determinism,no-such-check".to_string()),
+            ..cfg
+        };
+        let report = run_full_conformance(&bad);
+        assert_eq!(report.mismatches[0].check, "config");
+    }
+
+    #[test]
+    fn a_run_with_zero_checks_is_a_config_error() {
+        let cfg = ConformanceConfig {
+            quick: true,
+            only: Some("engine-determinism".to_string()),
+            case_filter: Some("complete/linear".to_string()),
+            include_corpus: false,
+            ..ConformanceConfig::default()
+        };
+        let report = run_full_conformance(&cfg);
+        assert_eq!(report.checks_run, 0);
+        assert!(!report.ok());
+        assert_eq!(report.mismatches.len(), 1);
+        assert_eq!(report.mismatches[0].check, "config");
     }
 }

@@ -4,12 +4,12 @@
 //! oracle ([`crate::oracle`]) or asserts a metamorphic property the
 //! semantics guarantee (relabeling equivariance, weight conservation,
 //! monotonicity, mechanism locality). Checks are pure functions of a
-//! generated case plus a [`CheckContext`], which selects the real tally
-//! or a deliberately mutated one — the mutation is how CI proves the
-//! suite has teeth.
+//! generated case plus an optional injected [`Mutation`]; each mutant
+//! names the checks that must catch it ([`Mutation::caught_by`]).
 
 use crate::gen::{ranked_ballots, Case, ALPHA};
 use crate::oracle::{self, OracleOutcome};
+use crate::Mutation;
 use ld_core::csr::CsrForest;
 use ld_core::csr::PackedSinkWeights;
 use ld_core::delegation::{Action, DelegationGraph};
@@ -28,131 +28,6 @@ use ld_prob::coins::{draw_scalar_coins, packed_bit, PackedCompetence};
 use ld_prob::normal::std_normal_cdf;
 use ld_prob::poisson_binomial::{PoissonBinomial, WeightedBernoulliSum};
 use ld_prob::rng::{split_seed, stream_rng, Rng};
-
-/// Which tally implementation the checks exercise.
-///
-/// `TieFlipped` is a deliberate bug — the tie-break credit is inverted —
-/// injected by `--mutate tie-flip` so CI can verify the differential
-/// suite actually detects a wrong tally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TallyImpl {
-    /// The production tally.
-    Real,
-    /// Mutant: exact ties are credited `1 − credit` instead of `credit`.
-    TieFlipped,
-}
-
-/// Which CSR kernel build the checks exercise.
-///
-/// `OffsetSkewed` is a deliberate bug — every interior group boundary in
-/// the CSR offsets section is pulled down one slot, shifting a vote
-/// between consecutive sinks — injected by `--mutate csr-offset` so CI
-/// can verify the differential kernel checks actually detect a wrong
-/// flat layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CsrImpl {
-    /// The production CSR kernels.
-    Real,
-    /// Mutant: interior offsets off by one
-    /// ([`CsrForest::skew_offsets_for_tests`]).
-    OffsetSkewed,
-}
-
-/// Which WAL scanner the crash oracle exercises.
-///
-/// `CrcSkipped` is a deliberate bug — a testkit-local reimplementation
-/// of the record scanner that trusts frame lengths and never verifies
-/// the stored CRC32 — injected by `--mutate wal-crc` so CI can verify
-/// the crash oracle actually detects silently-corrupted log records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalImpl {
-    /// The production scanner (`ld_store::wal::scan_records`).
-    Real,
-    /// Mutant: frame CRCs are never checked.
-    CrcSkipped,
-}
-
-/// Which ingest stream the serve-replay check drives.
-///
-/// `Dropped` is a deliberate bug on the driver's side — one delegating
-/// voter's last delegation is never submitted, as if the front-end lost
-/// it — injected by `--mutate serve-drop` so CI can verify the
-/// service-vs-engine differential actually detects a lost update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeImpl {
-    /// Every update is submitted.
-    Real,
-    /// Mutant: the first finally-delegating voter's last delegation is
-    /// withheld from `Election::submit`.
-    Dropped,
-}
-
-/// Which packed coin kernel the packed-tally differential exercises.
-///
-/// `ThresholdSkewed` is a deliberate bug — the bit-plane threshold
-/// comparison starts one plane late, skipping the most significant
-/// quantized-probability bit — injected by `--mutate packed-threshold`
-/// so CI can verify the packed-vs-scalar differential actually detects
-/// a wrong 64-wide kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoinsImpl {
-    /// The production packed coin kernel.
-    Real,
-    /// Mutant: plane loop off by one
-    /// (`PackedCompetence::skew_threshold_for_tests`).
-    ThresholdSkewed,
-}
-
-/// Which best-response tie-break the dynamics differential exercises.
-///
-/// `TiebreakSkewed` is a deliberate bug — candidate targets are scanned
-/// in descending index order, so exact score ties resolve to the
-/// highest-index target instead of the canonical lowest — injected by
-/// `--mutate br-tiebreak` so CI can verify the `dynamics-oracle`
-/// differential actually detects a wrong tie-break.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DynamicsImpl {
-    /// The production canonical tie-break.
-    Real,
-    /// Mutant: ties resolve to the highest-index target
-    /// ([`TieBreakRule::SkewedForTests`]).
-    TiebreakSkewed,
-}
-
-/// Which ranked preference ordering the ranked checks exercise.
-///
-/// `RankOrderReversed` is a deliberate bug — the delegation rules
-/// consult every preference list back to front
-/// ([`RankedProfile::reverse_ranks_for_tests`]) — injected by
-/// `--mutate rank-order` so CI can verify the `ranked-resolve-oracle`
-/// differential actually detects a rule that ignores the submitted
-/// rank order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RankedImpl {
-    /// The production rank order.
-    Real,
-    /// Mutant: every preference list is reversed before selection.
-    RankOrderReversed,
-}
-
-/// Shared configuration threaded through every check.
-#[derive(Debug, Clone, Copy)]
-pub struct CheckContext {
-    /// Tally implementation under test.
-    pub tally: TallyImpl,
-    /// CSR kernel build under test.
-    pub csr: CsrImpl,
-    /// WAL scanner under test.
-    pub wal: WalImpl,
-    /// Service ingest stream under test.
-    pub serve: ServeImpl,
-    /// Packed coin kernel under test.
-    pub coins: CoinsImpl,
-    /// Best-response tie-break under test.
-    pub dynamics: DynamicsImpl,
-    /// Ranked preference ordering under test.
-    pub ranked: RankedImpl,
-}
 
 /// Result of one check on one case.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -311,7 +186,7 @@ impl CheckId {
 }
 
 /// Runs one check on a generated case.
-pub fn run_check(check: CheckId, case: &Case, ctx: &CheckContext) -> CheckOutcome {
+pub fn run_check(check: CheckId, case: &Case, mutation: Option<Mutation>) -> CheckOutcome {
     match check {
         CheckId::Locality => check_locality(case),
         _ => recheck_structural(
@@ -319,7 +194,7 @@ pub fn run_check(check: CheckId, case: &Case, ctx: &CheckContext) -> CheckOutcom
             case.dg.actions(),
             case.instance.profile().as_slice(),
             case.seed,
-            ctx,
+            mutation,
         ),
     }
 }
@@ -331,28 +206,28 @@ pub fn recheck_structural(
     actions: &[Action],
     ps: &[f64],
     seed: u64,
-    ctx: &CheckContext,
+    mutation: Option<Mutation>,
 ) -> CheckOutcome {
     match check {
-        CheckId::ResolveOracle => check_resolve_oracle(actions, ctx),
+        CheckId::ResolveOracle => check_resolve_oracle(actions, mutation),
         CheckId::ResolveDeterminism => check_resolve_determinism(actions),
         CheckId::WeightConservation => check_weight_conservation(actions),
-        CheckId::TallyOracle => check_tally_oracle(actions, ps, ctx),
-        CheckId::TallySimulation => check_tally_simulation(actions, ps, seed, ctx),
+        CheckId::TallyOracle => check_tally_oracle(actions, ps, mutation),
+        CheckId::TallySimulation => check_tally_simulation(actions, ps, seed, mutation),
         CheckId::SampleOracle => check_sample_oracle(actions, ps, seed),
         CheckId::LiveReplay => check_live_replay(actions, ps),
         CheckId::NormalEnvelope => check_normal_envelope(actions, ps),
         CheckId::RelabelEquivariance => check_relabel_equivariance(actions, ps, seed),
         CheckId::Monotonicity => check_monotonicity(ps),
         CheckId::Locality => CheckOutcome::Skip("locality needs the full instance and mechanism"),
-        CheckId::CsrTallyOracle => check_csr_tally_oracle(actions, ps, seed, ctx),
-        CheckId::PackedTallyOracle => check_packed_tally_oracle(actions, ps, seed, ctx),
-        CheckId::WalCrashOracle => check_wal_crash_oracle(actions, ps, seed, ctx),
-        CheckId::ServeReplay => check_serve_replay(actions, ps, seed, ctx),
-        CheckId::DynamicsOracle => check_dynamics_oracle(actions, ps, ctx),
+        CheckId::CsrTallyOracle => check_csr_tally_oracle(actions, ps, seed, mutation),
+        CheckId::PackedTallyOracle => check_packed_tally_oracle(actions, ps, seed, mutation),
+        CheckId::WalCrashOracle => check_wal_crash_oracle(actions, ps, seed, mutation),
+        CheckId::ServeReplay => check_serve_replay(actions, ps, seed, mutation),
+        CheckId::DynamicsOracle => check_dynamics_oracle(actions, ps, mutation),
         CheckId::DynamicsReplay => check_dynamics_replay(actions, ps, seed),
-        CheckId::RankedResolveOracle => check_ranked_resolve_oracle(actions, seed, ctx),
-        CheckId::RankedLiveReplay => check_ranked_live_replay(actions, ps, seed, ctx),
+        CheckId::RankedResolveOracle => check_ranked_resolve_oracle(actions, seed, mutation),
+        CheckId::RankedLiveReplay => check_ranked_live_replay(actions, ps, seed, mutation),
     }
 }
 
@@ -363,17 +238,17 @@ const ERF_SLACK: f64 = 1e-6;
 
 /// Builds the CSR forest under test: the production resolve, with the
 /// offset skew applied afterwards when the context injects the mutant.
-fn resolve_csr(actions: &[Action], ctx: &CheckContext) -> Result<CsrForest, CoreError> {
+fn resolve_csr(actions: &[Action], mutation: Option<Mutation>) -> Result<CsrForest, CoreError> {
     let mut forest = CsrForest::new();
     forest.resolve(&DelegationGraph::new(actions.to_vec()))?;
-    if ctx.csr == CsrImpl::OffsetSkewed {
+    if mutation == Some(Mutation::CsrOffset) {
         forest.skew_offsets_for_tests();
     }
     Ok(forest)
 }
 
-fn check_resolve_oracle(actions: &[Action], ctx: &CheckContext) -> CheckOutcome {
-    let system = resolve_csr(actions, ctx);
+fn check_resolve_oracle(actions: &[Action], mutation: Option<Mutation>) -> CheckOutcome {
+    let system = resolve_csr(actions, mutation);
     let reference = oracle::resolve_recursive(actions);
     // Sinks, weights, discarded, chain and delegators through the owned
     // snapshot; error kinds with voter and target.
@@ -441,7 +316,7 @@ fn check_csr_tally_oracle(
     actions: &[Action],
     ps: &[f64],
     seed: u64,
-    ctx: &CheckContext,
+    mutation: Option<Mutation>,
 ) -> CheckOutcome {
     let n = actions.len();
     if n == 0 {
@@ -454,7 +329,7 @@ fn check_csr_tally_oracle(
     let OracleOutcome::Resolved(orc) = oracle::resolve_recursive(actions) else {
         return CheckOutcome::Skip("resolver rejects this graph");
     };
-    let mut forest = match resolve_csr(actions, ctx) {
+    let mut forest = match resolve_csr(actions, mutation) {
         Ok(f) => f,
         Err(e) => return CheckOutcome::Fail(format!("CSR resolve errored: {e}")),
     };
@@ -510,9 +385,12 @@ const PACKED_COIN_ROUNDS: usize = 8;
 
 /// The packed coin kernel under test: the production build, with the
 /// plane-threshold skew applied when the context injects the mutant.
-fn build_packed_competence(ps: &[f64], ctx: &CheckContext) -> Result<PackedCompetence, String> {
+fn build_packed_competence(
+    ps: &[f64],
+    mutation: Option<Mutation>,
+) -> Result<PackedCompetence, String> {
     let mut competence = PackedCompetence::new(ps).map_err(|e| e.to_string())?;
-    if ctx.coins == CoinsImpl::ThresholdSkewed {
+    if mutation == Some(Mutation::PackedThreshold) {
         competence.skew_threshold_for_tests();
     }
     Ok(competence)
@@ -522,7 +400,7 @@ fn check_packed_tally_oracle(
     actions: &[Action],
     ps: &[f64],
     seed: u64,
-    ctx: &CheckContext,
+    mutation: Option<Mutation>,
 ) -> CheckOutcome {
     let n = actions.len();
     if n == 0 {
@@ -535,11 +413,11 @@ fn check_packed_tally_oracle(
     let OracleOutcome::Resolved(orc) = oracle::resolve_recursive(actions) else {
         return CheckOutcome::Skip("resolver rejects this graph");
     };
-    let forest = match resolve_csr(actions, ctx) {
+    let forest = match resolve_csr(actions, mutation) {
         Ok(f) => f,
         Err(e) => return CheckOutcome::Fail(format!("CSR resolve errored: {e}")),
     };
-    let competence = match build_packed_competence(ps, ctx) {
+    let competence = match build_packed_competence(ps, mutation) {
         Ok(c) => c,
         Err(e) => return CheckOutcome::Fail(format!("packed competence: {e}")),
     };
@@ -714,15 +592,16 @@ fn sink_terms(actions: &[Action], ps: &[f64]) -> Result<(Vec<(usize, f64)>, usiz
 
 /// The tally under test: the production DP, or the tie-flipped mutant.
 fn system_tally(
-    ctx: &CheckContext,
+    mutation: Option<Mutation>,
     terms: &[(usize, f64)],
     tallied: usize,
     credit: f64,
 ) -> Result<f64, String> {
     let sum = WeightedBernoulliSum::new(terms).map_err(|e| e.to_string())?;
-    Ok(match ctx.tally {
-        TallyImpl::Real => sum.majority_with_ties(tallied, credit),
-        TallyImpl::TieFlipped => sum.majority_with_ties(tallied, 1.0 - credit),
+    Ok(if mutation == Some(Mutation::TieFlip) {
+        sum.majority_with_ties(tallied, 1.0 - credit)
+    } else {
+        sum.majority_with_ties(tallied, credit)
     })
 }
 
@@ -736,19 +615,20 @@ fn carrier_instance(ps: &[f64]) -> Result<ProblemInstance, String> {
 /// The direct-voting leg of `tally-oracle`: [`direct_probability`] under
 /// every tie policy against brute force over unit terms, or against the
 /// naive full-width DP when the electorate is too large to enumerate.
-fn check_direct_tally(ps: &[f64], ctx: &CheckContext) -> Result<(), CheckOutcome> {
+fn check_direct_tally(ps: &[f64], mutation: Option<Mutation>) -> Result<(), CheckOutcome> {
     let naive_pmf =
         (ps.len() > oracle::BRUTE_FORCE_MAX_TERMS).then(|| oracle::naive_direct_pmf(ps));
     let units: Vec<(usize, f64)> = ps.iter().map(|&p| (1, p)).collect();
     let inst =
         carrier_instance(ps).map_err(|e| CheckOutcome::Fail(format!("carrier instance: {e}")))?;
     for tie in [TieBreak::Incorrect, TieBreak::CoinFlip, TieBreak::Correct] {
-        let system = match ctx.tally {
-            TallyImpl::Real => direct_probability(&inst, tie)
-                .map_err(|e| CheckOutcome::Fail(format!("direct tally errored: {e}")))?,
-            TallyImpl::TieFlipped => PoissonBinomial::new(ps)
+        let system = if mutation == Some(Mutation::TieFlip) {
+            PoissonBinomial::new(ps)
                 .map_err(|e| CheckOutcome::Fail(format!("mutant direct tally errored: {e}")))?
-                .majority_with_ties(1.0 - tie.credit()),
+                .majority_with_ties(1.0 - tie.credit())
+        } else {
+            direct_probability(&inst, tie)
+                .map_err(|e| CheckOutcome::Fail(format!("direct tally errored: {e}")))?
         };
         let (reference, oracle_name) = match &naive_pmf {
             Some(pmf) => (
@@ -772,11 +652,11 @@ fn check_direct_tally(ps: &[f64], ctx: &CheckContext) -> Result<(), CheckOutcome
     Ok(())
 }
 
-fn check_tally_oracle(actions: &[Action], ps: &[f64], ctx: &CheckContext) -> CheckOutcome {
+fn check_tally_oracle(actions: &[Action], ps: &[f64], mutation: Option<Mutation>) -> CheckOutcome {
     if actions.is_empty() {
         return CheckOutcome::Skip("empty electorate");
     }
-    if let Err(fail) = check_direct_tally(ps, ctx) {
+    if let Err(fail) = check_direct_tally(ps, mutation) {
         return fail;
     }
     let (terms, tallied) = match sink_terms(actions, ps) {
@@ -789,26 +669,25 @@ fn check_tally_oracle(actions: &[Action], ps: &[f64], ctx: &CheckContext) -> Che
     for tie in [TieBreak::Incorrect, TieBreak::CoinFlip, TieBreak::Correct] {
         // Pin the full production path for the real tally; the mutant
         // stands in for a bug in the tie-break credit.
-        let system = match ctx.tally {
-            TallyImpl::Real => {
-                let inst = match carrier_instance(ps) {
-                    Ok(i) => i,
-                    Err(e) => return CheckOutcome::Fail(format!("carrier instance: {e}")),
-                };
-                let dg = DelegationGraph::new(actions.to_vec());
-                let res = match dg.resolve() {
-                    Ok(r) => r,
-                    Err(e) => return CheckOutcome::Fail(format!("re-resolve failed: {e}")),
-                };
-                match exact_correct_probability(&inst, &res, tie) {
-                    Ok(p) => p,
-                    Err(e) => return CheckOutcome::Fail(format!("exact tally errored: {e}")),
-                }
-            }
-            TallyImpl::TieFlipped => match system_tally(ctx, &terms, tallied, tie.credit()) {
+        let system = if mutation == Some(Mutation::TieFlip) {
+            match system_tally(mutation, &terms, tallied, tie.credit()) {
                 Ok(p) => p,
                 Err(e) => return CheckOutcome::Fail(format!("mutant tally errored: {e}")),
-            },
+            }
+        } else {
+            let inst = match carrier_instance(ps) {
+                Ok(i) => i,
+                Err(e) => return CheckOutcome::Fail(format!("carrier instance: {e}")),
+            };
+            let dg = DelegationGraph::new(actions.to_vec());
+            let res = match dg.resolve() {
+                Ok(r) => r,
+                Err(e) => return CheckOutcome::Fail(format!("re-resolve failed: {e}")),
+            };
+            match exact_correct_probability(&inst, &res, tie) {
+                Ok(p) => p,
+                Err(e) => return CheckOutcome::Fail(format!("exact tally errored: {e}")),
+            }
         };
         let Some(reference) = oracle::brute_force_majority(&terms, tallied, tie.credit()) else {
             return CheckOutcome::Skip("too many sinks for brute-force enumeration");
@@ -829,7 +708,7 @@ fn check_tally_simulation(
     actions: &[Action],
     ps: &[f64],
     seed: u64,
-    ctx: &CheckContext,
+    mutation: Option<Mutation>,
 ) -> CheckOutcome {
     let (terms, tallied) = match sink_terms(actions, ps) {
         Ok(t) => t,
@@ -839,7 +718,7 @@ fn check_tally_simulation(
         return CheckOutcome::Skip("everyone abstained");
     }
     // Incorrect ties make the mutant maximally visible (credit 0 vs 1).
-    let system = match system_tally(ctx, &terms, tallied, 0.0) {
+    let system = match system_tally(mutation, &terms, tallied, 0.0) {
         Ok(p) => p,
         Err(e) => return CheckOutcome::Fail(format!("tally errored: {e}")),
     };
@@ -1314,7 +1193,7 @@ fn check_wal_crash_oracle(
     actions: &[Action],
     ps: &[f64],
     seed: u64,
-    ctx: &CheckContext,
+    mutation: Option<Mutation>,
 ) -> CheckOutcome {
     use ld_store::wal::{encode_record, scan_records, FRAME_HEADER_LEN};
     let n = actions.len();
@@ -1354,9 +1233,10 @@ fn check_wal_crash_oracle(
         }
     }
     let scan = |bytes: &[u8]| -> Vec<Update> {
-        match ctx.wal {
-            WalImpl::Real => scan_records(bytes).updates,
-            WalImpl::CrcSkipped => scan_records_skipping_crc(bytes),
+        if mutation == Some(Mutation::WalCrc) {
+            scan_records_skipping_crc(bytes)
+        } else {
+            scan_records(bytes).updates
         }
     };
 
@@ -1463,7 +1343,7 @@ fn check_serve_replay(
     actions: &[Action],
     ps: &[f64],
     seed: u64,
-    ctx: &CheckContext,
+    mutation: Option<Mutation>,
 ) -> CheckOutcome {
     use ld_serve::{Election, ElectionConfig};
     let n = actions.len();
@@ -1522,9 +1402,8 @@ fn check_serve_replay(
     cfg.window = std::time::Duration::ZERO;
     cfg.publish_every = 1;
     cfg.competences = Some(ps.to_vec());
-    let dropped = match ctx.serve {
-        ServeImpl::Real => None,
-        ServeImpl::Dropped => streamed
+    let dropped = if mutation == Some(Mutation::ServeDrop) {
+        streamed
             .actions()
             .iter()
             .enumerate()
@@ -1536,7 +1415,9 @@ fn check_serve_replay(
                 updates
                     .iter()
                     .rposition(|u| matches!(*u, Update::Delegate { voter, .. } if voter == v))
-            }),
+            })
+    } else {
+        None
     };
     let election = match Election::create(&cfg) {
         Ok(e) => e,
@@ -1817,7 +1698,11 @@ fn dyn_oracle_apply_round(
     out
 }
 
-fn check_dynamics_oracle(actions: &[Action], ps: &[f64], ctx: &CheckContext) -> CheckOutcome {
+fn check_dynamics_oracle(
+    actions: &[Action],
+    ps: &[f64],
+    mutation: Option<Mutation>,
+) -> CheckOutcome {
     let n = actions.len();
     if n == 0 {
         return CheckOutcome::Skip("empty electorate");
@@ -1838,9 +1723,10 @@ fn check_dynamics_oracle(actions: &[Action], ps: &[f64], ctx: &CheckContext) -> 
     let rules = vec![MoveRule::BestResponse; n];
     let spec = DynamicsSpec {
         max_rounds: DYN_ORACLE_MAX_ROUNDS,
-        tiebreak: match ctx.dynamics {
-            DynamicsImpl::Real => TieBreakRule::Canonical,
-            DynamicsImpl::TiebreakSkewed => TieBreakRule::SkewedForTests,
+        tiebreak: if mutation == Some(Mutation::BrTiebreak) {
+            TieBreakRule::SkewedForTests
+        } else {
+            TieBreakRule::Canonical
         },
     };
     let traj = match run_dynamics(&view, actions, &rules, &spec) {
@@ -2124,7 +2010,7 @@ const RANKED_REPLAY_SALT: u64 = 0x7A4E_4B3D_5EED_0001;
 fn ranked_profiles(
     actions: &[Action],
     seed: u64,
-    ctx: &CheckContext,
+    mutation: Option<Mutation>,
 ) -> Result<(RankedProfile, RankedProfile), CheckOutcome> {
     let ballots = ranked_ballots(actions, seed);
     let truth = match RankedProfile::new(ballots) {
@@ -2132,14 +2018,18 @@ fn ranked_profiles(
         Err(_) => return Err(CheckOutcome::Skip("derived ballots are invalid")),
     };
     let mut production = truth.clone();
-    if ctx.ranked == RankedImpl::RankOrderReversed {
+    if mutation == Some(Mutation::RankOrder) {
         production.reverse_ranks_for_tests();
     }
     Ok((truth, production))
 }
 
-fn check_ranked_resolve_oracle(actions: &[Action], seed: u64, ctx: &CheckContext) -> CheckOutcome {
-    let (truth, production) = match ranked_profiles(actions, seed, ctx) {
+fn check_ranked_resolve_oracle(
+    actions: &[Action],
+    seed: u64,
+    mutation: Option<Mutation>,
+) -> CheckOutcome {
+    let (truth, production) = match ranked_profiles(actions, seed, mutation) {
         Ok(pair) => pair,
         Err(skip) => return skip,
     };
@@ -2375,12 +2265,12 @@ fn check_ranked_live_replay(
     actions: &[Action],
     ps: &[f64],
     seed: u64,
-    ctx: &CheckContext,
+    mutation: Option<Mutation>,
 ) -> CheckOutcome {
     if actions.is_empty() {
         return CheckOutcome::Skip("empty electorate");
     }
-    let (_, production) = match ranked_profiles(actions, seed, ctx) {
+    let (_, production) = match ranked_profiles(actions, seed, mutation) {
         Ok(pair) => pair,
         Err(skip) => return skip,
     };
@@ -2479,18 +2369,6 @@ fn ranked_lockstep(m: &RankedMirror) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn ctx() -> CheckContext {
-        CheckContext {
-            tally: TallyImpl::Real,
-            csr: CsrImpl::Real,
-            wal: WalImpl::Real,
-            serve: ServeImpl::Real,
-            coins: CoinsImpl::Real,
-            dynamics: DynamicsImpl::Real,
-            ranked: RankedImpl::Real,
-        }
-    }
-
     #[test]
     fn check_ids_round_trip() {
         for check in CheckId::all() {
@@ -2504,7 +2382,7 @@ mod tests {
         let actions = vec![Action::Delegate(1), Action::Delegate(2), Action::Vote];
         let ps = vec![0.3, 0.5, 0.7];
         for check in CheckId::all().into_iter().filter(|c| c.shrinkable()) {
-            let outcome = recheck_structural(check, &actions, &ps, 5, &ctx());
+            let outcome = recheck_structural(check, &actions, &ps, 5, None);
             assert!(
                 !matches!(outcome, CheckOutcome::Fail(_)),
                 "{} failed: {outcome:?}",
@@ -2519,19 +2397,13 @@ mod tests {
         // the Incorrect credit from 0 to 1 shifts the tally by 0.5.
         let actions = vec![Action::Vote, Action::Vote];
         let ps = vec![0.5, 0.5];
-        let mutated = CheckContext {
-            tally: TallyImpl::TieFlipped,
-            ..ctx()
-        };
-        let outcome = check_tally_oracle(&actions, &ps, &mutated);
+        let mutated = Some(Mutation::TieFlip);
+        let outcome = check_tally_oracle(&actions, &ps, mutated);
         assert!(
             matches!(outcome, CheckOutcome::Fail(_)),
             "mutant not detected: {outcome:?}"
         );
-        assert_eq!(
-            check_tally_oracle(&actions, &ps, &ctx()),
-            CheckOutcome::Pass
-        );
+        assert_eq!(check_tally_oracle(&actions, &ps, None), CheckOutcome::Pass);
     }
 
     #[test]
@@ -2542,19 +2414,13 @@ mod tests {
         let mut actions = vec![Action::Delegate(23); 23];
         actions.push(Action::Vote);
         let ps = vec![0.5; 24];
-        let mutated = CheckContext {
-            tally: TallyImpl::TieFlipped,
-            ..ctx()
-        };
-        let outcome = check_tally_oracle(&actions, &ps, &mutated);
+        let mutated = Some(Mutation::TieFlip);
+        let outcome = check_tally_oracle(&actions, &ps, mutated);
         assert!(
             matches!(&outcome, CheckOutcome::Fail(msg) if msg.contains("the naive DP")),
             "mutant not detected by the direct leg: {outcome:?}"
         );
-        assert_eq!(
-            check_tally_oracle(&actions, &ps, &ctx()),
-            CheckOutcome::Pass
-        );
+        assert_eq!(check_tally_oracle(&actions, &ps, None), CheckOutcome::Pass);
     }
 
     #[test]
@@ -2565,23 +2431,20 @@ mod tests {
         // weights, which the skew visibly redistributes.
         let actions = vec![Action::Delegate(1), Action::Vote, Action::Vote];
         let ps = vec![0.4, 0.6, 0.7];
-        let mutated = CheckContext {
-            csr: CsrImpl::OffsetSkewed,
-            ..ctx()
-        };
-        let resolve = check_resolve_oracle(&actions, &mutated);
+        let mutated = Some(Mutation::CsrOffset);
+        let resolve = check_resolve_oracle(&actions, mutated);
         assert!(
             matches!(resolve, CheckOutcome::Fail(_)),
             "resolve mutant not detected: {resolve:?}"
         );
-        let tally = check_csr_tally_oracle(&actions, &ps, 5, &mutated);
+        let tally = check_csr_tally_oracle(&actions, &ps, 5, mutated);
         assert!(
             matches!(tally, CheckOutcome::Fail(_)),
             "tally mutant not detected: {tally:?}"
         );
-        assert_eq!(check_resolve_oracle(&actions, &ctx()), CheckOutcome::Pass);
+        assert_eq!(check_resolve_oracle(&actions, None), CheckOutcome::Pass);
         assert_eq!(
-            check_csr_tally_oracle(&actions, &ps, 5, &ctx()),
+            check_csr_tally_oracle(&actions, &ps, 5, None),
             CheckOutcome::Pass
         );
     }
@@ -2593,17 +2456,14 @@ mod tests {
         // flag the CRC-skipping scanner while the real one passes.
         let actions = vec![Action::Delegate(1), Action::Delegate(2), Action::Vote];
         let ps = vec![0.3, 0.5, 0.7];
-        let mutated = CheckContext {
-            wal: WalImpl::CrcSkipped,
-            ..ctx()
-        };
-        let outcome = check_wal_crash_oracle(&actions, &ps, 5, &mutated);
+        let mutated = Some(Mutation::WalCrc);
+        let outcome = check_wal_crash_oracle(&actions, &ps, 5, mutated);
         assert!(
             matches!(outcome, CheckOutcome::Fail(_)),
             "wal-crc mutant not detected: {outcome:?}"
         );
         assert_eq!(
-            check_wal_crash_oracle(&actions, &ps, 5, &ctx()),
+            check_wal_crash_oracle(&actions, &ps, 5, None),
             CheckOutcome::Pass
         );
     }
@@ -2615,17 +2475,14 @@ mod tests {
         // the single-engine oracle while the full stream passes.
         let actions = vec![Action::Delegate(1), Action::Delegate(2), Action::Vote];
         let ps = vec![0.3, 0.5, 0.7];
-        let mutated = CheckContext {
-            serve: ServeImpl::Dropped,
-            ..ctx()
-        };
-        let outcome = check_serve_replay(&actions, &ps, 5, &mutated);
+        let mutated = Some(Mutation::ServeDrop);
+        let outcome = check_serve_replay(&actions, &ps, 5, mutated);
         assert!(
             matches!(outcome, CheckOutcome::Fail(_)),
             "serve-drop mutant not detected: {outcome:?}"
         );
         assert_eq!(
-            check_serve_replay(&actions, &ps, 5, &ctx()),
+            check_serve_replay(&actions, &ps, 5, None),
             CheckOutcome::Pass
         );
     }
@@ -2638,17 +2495,14 @@ mod tests {
         // the first diverging round while the real one passes.
         let actions = vec![Action::Delegate(1), Action::Vote, Action::Vote];
         let ps = vec![0.4, 0.6, 0.7];
-        let mutated = CheckContext {
-            coins: CoinsImpl::ThresholdSkewed,
-            ..ctx()
-        };
-        let outcome = check_packed_tally_oracle(&actions, &ps, 5, &mutated);
+        let mutated = Some(Mutation::PackedThreshold);
+        let outcome = check_packed_tally_oracle(&actions, &ps, 5, mutated);
         assert!(
             matches!(outcome, CheckOutcome::Fail(_)),
             "packed-threshold mutant not detected: {outcome:?}"
         );
         assert_eq!(
-            check_packed_tally_oracle(&actions, &ps, 5, &ctx()),
+            check_packed_tally_oracle(&actions, &ps, 5, None),
             CheckOutcome::Pass
         );
     }
@@ -2660,11 +2514,8 @@ mod tests {
         // layout too.
         let actions = vec![Action::Delegate(1), Action::Vote, Action::Vote];
         let ps = vec![0.4, 0.6, 0.7];
-        let mutated = CheckContext {
-            csr: CsrImpl::OffsetSkewed,
-            ..ctx()
-        };
-        let outcome = check_packed_tally_oracle(&actions, &ps, 5, &mutated);
+        let mutated = Some(Mutation::CsrOffset);
+        let outcome = check_packed_tally_oracle(&actions, &ps, 5, mutated);
         assert!(
             matches!(outcome, CheckOutcome::Fail(_)),
             "csr-offset not visible through the packed fold: {outcome:?}"
@@ -2685,17 +2536,14 @@ mod tests {
             Action::Vote,
         ];
         let ps = vec![0.3, 0.5, 0.55, 0.9];
-        let mutated = CheckContext {
-            dynamics: DynamicsImpl::TiebreakSkewed,
-            ..ctx()
-        };
-        let outcome = check_dynamics_oracle(&actions, &ps, &mutated);
+        let mutated = Some(Mutation::BrTiebreak);
+        let outcome = check_dynamics_oracle(&actions, &ps, mutated);
         assert!(
             matches!(outcome, CheckOutcome::Fail(_)),
             "br-tiebreak mutant not detected: {outcome:?}"
         );
         assert_eq!(
-            check_dynamics_oracle(&actions, &ps, &ctx()),
+            check_dynamics_oracle(&actions, &ps, None),
             CheckOutcome::Pass
         );
     }
@@ -2708,7 +2556,7 @@ mod tests {
         let actions = vec![Action::Vote; 6];
         let ps: Vec<f64> = (0..6).map(|i| 0.3 + 0.08 * i as f64).collect();
         assert_eq!(
-            check_dynamics_oracle(&actions, &ps, &ctx()),
+            check_dynamics_oracle(&actions, &ps, None),
             CheckOutcome::Pass
         );
     }
@@ -2887,15 +2735,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_mutation_round_trips_through_its_id() {
-        use crate::Mutation;
-        for m in Mutation::all() {
-            assert_eq!(Mutation::parse(m.id()), Some(m));
-        }
-        assert_eq!(Mutation::parse("nonsense"), None);
-    }
-
-    #[test]
     fn relabel_check_passes_on_random_style_graph() {
         let actions = vec![
             Action::Delegate(4),
@@ -2929,9 +2768,9 @@ mod tests {
         ];
         let ps = vec![0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
         for seed in 0..32u64 {
-            let resolve = check_ranked_resolve_oracle(&actions, seed, &ctx());
+            let resolve = check_ranked_resolve_oracle(&actions, seed, None);
             assert_eq!(resolve, CheckOutcome::Pass, "resolve failed at seed {seed}");
-            let replay = check_ranked_live_replay(&actions, &ps, seed, &ctx());
+            let replay = check_ranked_live_replay(&actions, &ps, seed, None);
             assert_eq!(replay, CheckOutcome::Pass, "replay failed at seed {seed}");
         }
     }
@@ -2950,20 +2789,17 @@ mod tests {
             Action::Abstain,
             Action::Vote,
         ];
-        let mutated = CheckContext {
-            ranked: RankedImpl::RankOrderReversed,
-            ..ctx()
-        };
+        let mutated = Some(Mutation::RankOrder);
         let mut detected = 0usize;
         for seed in 0..32u64 {
             if matches!(
-                check_ranked_resolve_oracle(&actions, seed, &mutated),
+                check_ranked_resolve_oracle(&actions, seed, mutated),
                 CheckOutcome::Fail(_)
             ) {
                 detected += 1;
             }
             assert_eq!(
-                check_ranked_resolve_oracle(&actions, seed, &ctx()),
+                check_ranked_resolve_oracle(&actions, seed, None),
                 CheckOutcome::Pass
             );
         }

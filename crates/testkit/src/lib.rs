@@ -25,9 +25,11 @@
 //!
 //! The `repro conformance` subcommand in `ld-sim` drives
 //! [`run_conformance`] and turns the resulting
-//! [`report::ConformanceReport`] into a CI gate; `--mutate tie-flip`
-//! injects a deliberate tally bug that the suite must catch, proving the
-//! gate has teeth.
+//! [`report::ConformanceReport`] into a CI gate. Each [`Mutation`] is a
+//! deliberate bug that names the checks that must catch it
+//! ([`Mutation::caught_by`]); the `teeth` integration test injects every
+//! mutant and fails unless each of its checks reports a mismatch, and
+//! `--mutate <id>` replays a mutant from the command line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,42 +42,41 @@ pub mod oracle;
 pub mod report;
 pub mod shrink;
 
-use checks::{
-    CheckContext, CheckId, CheckOutcome, CoinsImpl, CsrImpl, DynamicsImpl, RankedImpl, ServeImpl,
-    TallyImpl, WalImpl,
-};
+use checks::{CheckId, CheckOutcome};
 use gen::{default_grid, CellSpec};
 use report::{ConformanceReport, Mismatch, ShrunkInstance};
 
-/// A deliberate bug injected into the implementation under test, used
-/// to verify the suite detects it (mutation smoke testing).
+/// A deliberate bug injected into the implementation under test. Each
+/// mutant names the checks that must catch it ([`Mutation::caught_by`]);
+/// the `teeth` integration test runs every mutant against exactly those
+/// checks and fails unless each one reports a mismatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
-    /// Invert the tie-break credit in the exact tally.
+    /// Invert the tie-break credit in the exact tally: exact ties are
+    /// credited `1 − credit` instead of `credit`.
     TieFlip,
     /// Skew the CSR forest's interior group offsets by one slot, shifting
-    /// a vote between consecutive sinks (caught by `resolve-oracle`,
-    /// `csr-tally-oracle` and `packed-tally-oracle`).
+    /// a vote between consecutive sinks
+    /// (`CsrForest::skew_offsets_for_tests`).
     CsrOffset,
     /// Skip the frame CRC32 comparison when scanning the write-ahead
-    /// log, so corrupted records decode "successfully" (caught by the
-    /// `wal-crash-oracle` check).
+    /// log, so corrupted records decode "successfully" (a testkit-local
+    /// scanner that trusts frame lengths).
     WalCrc,
     /// Withhold one delegating voter's last delegation from the
-    /// `ld-serve` election, as if ingest lost it (caught by the
-    /// `serve-replay` check).
+    /// `ld-serve` election, as if ingest lost it.
     ServeDrop,
     /// Start the packed coin kernel's bit-plane threshold comparison one
     /// plane late, skipping the most significant quantized-probability
-    /// bit (caught by the `packed-tally-oracle` check).
+    /// bit (`PackedCompetence::skew_threshold_for_tests`).
     PackedThreshold,
     /// Scan best-response candidate targets in descending index order,
     /// so exact score ties resolve to the highest-index target instead
-    /// of the canonical lowest (caught by the `dynamics-oracle` check).
+    /// of the canonical lowest (`TieBreakRule::SkewedForTests`).
     BrTiebreak,
     /// Reverse every ranked preference list before the delegation rules
-    /// consult it, so selections ignore the submitted rank order (caught
-    /// by the `ranked-resolve-oracle` check).
+    /// consult it, so selections ignore the submitted rank order
+    /// (`RankedProfile::reverse_ranks_for_tests`).
     RankOrder,
 }
 
@@ -91,6 +92,25 @@ impl Mutation {
             Mutation::BrTiebreak,
             Mutation::RankOrder,
         ]
+    }
+
+    /// The checks that must each report a mismatch when this mutant is
+    /// injected. No wildcard arm: a new mutant does not compile until it
+    /// names its checks.
+    pub fn caught_by(self) -> &'static [CheckId] {
+        match self {
+            Mutation::TieFlip => &[CheckId::TallyOracle, CheckId::TallySimulation],
+            Mutation::CsrOffset => &[
+                CheckId::ResolveOracle,
+                CheckId::CsrTallyOracle,
+                CheckId::PackedTallyOracle,
+            ],
+            Mutation::WalCrc => &[CheckId::WalCrashOracle],
+            Mutation::ServeDrop => &[CheckId::ServeReplay],
+            Mutation::PackedThreshold => &[CheckId::PackedTallyOracle],
+            Mutation::BrTiebreak => &[CheckId::DynamicsOracle],
+            Mutation::RankOrder => &[CheckId::RankedResolveOracle],
+        }
     }
 
     /// Stable identifier, as accepted by `--mutate`.
@@ -165,12 +185,10 @@ impl ConformanceConfig {
         }
     }
 
-    /// The reproduction command for a mismatch under this config.
-    fn repro_command(&self, cell: &str, check: CheckId, seed: u64) -> String {
-        let mut cmd = format!(
-            "repro conformance --seed {seed} --case {cell} --only {}",
-            check.id()
-        );
+    /// The reproduction command for a mismatch of `check` (a check id)
+    /// on `cell` under this config.
+    pub fn repro_command(&self, cell: &str, check: &str, seed: u64) -> String {
+        let mut cmd = format!("repro conformance --seed {seed} --case {cell} --only {check}");
         if let Some(m) = self.mutation {
             cmd.push_str(&format!(" --mutate {}", m.id()));
         }
@@ -206,39 +224,9 @@ pub fn run_conformance(cfg: &ConformanceConfig) -> ConformanceReport {
             return rep;
         }
     };
-    let ctx = CheckContext {
-        tally: match cfg.mutation {
-            Some(Mutation::TieFlip) => TallyImpl::TieFlipped,
-            _ => TallyImpl::Real,
-        },
-        csr: match cfg.mutation {
-            Some(Mutation::CsrOffset) => CsrImpl::OffsetSkewed,
-            _ => CsrImpl::Real,
-        },
-        wal: match cfg.mutation {
-            Some(Mutation::WalCrc) => WalImpl::CrcSkipped,
-            _ => WalImpl::Real,
-        },
-        serve: match cfg.mutation {
-            Some(Mutation::ServeDrop) => ServeImpl::Dropped,
-            _ => ServeImpl::Real,
-        },
-        coins: match cfg.mutation {
-            Some(Mutation::PackedThreshold) => CoinsImpl::ThresholdSkewed,
-            _ => CoinsImpl::Real,
-        },
-        dynamics: match cfg.mutation {
-            Some(Mutation::BrTiebreak) => DynamicsImpl::TiebreakSkewed,
-            _ => DynamicsImpl::Real,
-        },
-        ranked: match cfg.mutation {
-            Some(Mutation::RankOrder) => RankedImpl::RankOrderReversed,
-            _ => RankedImpl::Real,
-        },
-    };
     let grid = default_grid(cfg.quick);
     for spec in &grid {
-        run_cell(spec, cfg.seed, cfg, only.as_deref(), &ctx, &mut rep);
+        run_cell(spec, cfg.seed, cfg, only.as_deref(), &mut rep);
     }
     if cfg.include_corpus {
         match corpus::entries() {
@@ -246,7 +234,7 @@ pub fn run_conformance(cfg: &ConformanceConfig) -> ConformanceReport {
                 for entry in entries {
                     let mut replayed = 0usize;
                     for spec in grid.iter().filter(|s| s.id().contains(&entry.cell)) {
-                        run_cell(spec, entry.seed, cfg, only.as_deref(), &ctx, &mut rep);
+                        run_cell(spec, entry.seed, cfg, only.as_deref(), &mut rep);
                         replayed += 1;
                     }
                     rep.corpus_entries += 1;
@@ -284,7 +272,6 @@ fn run_cell(
     master: u64,
     cfg: &ConformanceConfig,
     only: Option<&[CheckId]>,
-    ctx: &CheckContext,
     rep: &mut ConformanceReport,
 ) {
     let cell_id = spec.id();
@@ -316,7 +303,7 @@ fn run_cell(
             }
         }
         let _check_span = ld_obs::span(&format!("testkit.check.{}_ns", check.id()));
-        match checks::run_check(check, &case, ctx) {
+        match checks::run_check(check, &case, cfg.mutation) {
             CheckOutcome::Pass => rep.checks_run += 1,
             CheckOutcome::Skip(_) => rep.checks_skipped += 1,
             CheckOutcome::Fail(detail) => {
@@ -326,7 +313,7 @@ fn run_cell(
                     case.dg.actions(),
                     case.instance.profile().as_slice(),
                     case.seed,
-                    ctx,
+                    cfg.mutation,
                 )
                 .map(|s| ShrunkInstance::from_parts(&s.actions, &s.ps, s.detail));
                 rep.mismatches.push(Mismatch {
@@ -335,7 +322,7 @@ fn run_cell(
                     seed: master,
                     detail,
                     shrunk,
-                    repro: cfg.repro_command(&cell_id, check, master),
+                    repro: cfg.repro_command(&cell_id, check.id(), master),
                 });
             }
         }

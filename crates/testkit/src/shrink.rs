@@ -7,7 +7,8 @@
 //! point. The result is the minimal instance attached to the mismatch
 //! report — usually a handful of voters instead of a full grid cell.
 
-use crate::checks::{recheck_structural, CheckContext, CheckId, CheckOutcome};
+use crate::checks::{recheck_structural, CheckId, CheckOutcome};
+use crate::Mutation;
 use ld_core::delegation::Action;
 
 /// A shrunk failing instance together with the failure detail observed
@@ -70,12 +71,13 @@ pub fn shrink_failure(
     actions: &[Action],
     ps: &[f64],
     seed: u64,
-    ctx: &CheckContext,
+    mutation: Option<Mutation>,
 ) -> Option<Shrunk> {
     if !check.shrinkable() {
         return None;
     }
-    let CheckOutcome::Fail(mut detail) = recheck_structural(check, actions, ps, seed, ctx) else {
+    let CheckOutcome::Fail(mut detail) = recheck_structural(check, actions, ps, seed, mutation)
+    else {
         return None;
     };
     let mut cur_actions = actions.to_vec();
@@ -95,7 +97,7 @@ pub fn shrink_failure(
             }
             let (next_actions, next_ps) = remove_voter(&cur_actions, &cur_ps, v);
             if let CheckOutcome::Fail(d) =
-                recheck_structural(check, &next_actions, &next_ps, seed, ctx)
+                recheck_structural(check, &next_actions, &next_ps, seed, mutation)
             {
                 cur_actions = next_actions;
                 cur_ps = next_ps;
@@ -115,7 +117,7 @@ pub fn shrink_failure(
             let (mid_actions, mid_ps) = remove_voter(&cur_actions, &cur_ps, v);
             let (next_actions, next_ps) = remove_voter(&mid_actions, &mid_ps, v - 1);
             if let CheckOutcome::Fail(d) =
-                recheck_structural(check, &next_actions, &next_ps, seed, ctx)
+                recheck_structural(check, &next_actions, &next_ps, seed, mutation)
             {
                 cur_actions = next_actions;
                 cur_ps = next_ps;
@@ -131,7 +133,7 @@ pub fn shrink_failure(
             let mut next_actions = cur_actions.clone();
             next_actions[i] = Action::Vote;
             if let CheckOutcome::Fail(d) =
-                recheck_structural(check, &next_actions, &cur_ps, seed, ctx)
+                recheck_structural(check, &next_actions, &cur_ps, seed, mutation)
             {
                 cur_actions = next_actions;
                 detail = d;
@@ -149,9 +151,6 @@ pub fn shrink_failure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checks::{
-        CoinsImpl, CsrImpl, DynamicsImpl, RankedImpl, ServeImpl, TallyImpl, WalImpl,
-    };
 
     #[test]
     fn remove_voter_remaps_targets() {
@@ -184,32 +183,20 @@ mod tests {
         // voters (the smallest even electorate with tie mass).
         let actions = vec![Action::Vote; 10];
         let ps = vec![0.5; 10];
-        let ctx = CheckContext {
-            tally: TallyImpl::TieFlipped,
-            csr: CsrImpl::Real,
-            wal: WalImpl::Real,
-            serve: ServeImpl::Real,
-            coins: CoinsImpl::Real,
-            dynamics: DynamicsImpl::Real,
-            ranked: RankedImpl::Real,
-        };
-        let shrunk = shrink_failure(CheckId::TallyOracle, &actions, &ps, 1, &ctx)
-            .expect("failure should shrink");
+        let shrunk = shrink_failure(
+            CheckId::TallyOracle,
+            &actions,
+            &ps,
+            1,
+            Some(Mutation::TieFlip),
+        )
+        .expect("failure should shrink");
         assert_eq!(shrunk.actions.len(), 2, "shrunk to {:?}", shrunk.actions);
         assert!(shrunk.actions.iter().all(|a| *a == Action::Vote));
     }
 
     #[test]
     fn passing_input_does_not_shrink() {
-        let ctx = CheckContext {
-            tally: TallyImpl::Real,
-            csr: CsrImpl::Real,
-            wal: WalImpl::Real,
-            serve: ServeImpl::Real,
-            coins: CoinsImpl::Real,
-            dynamics: DynamicsImpl::Real,
-            ranked: RankedImpl::Real,
-        };
-        assert!(shrink_failure(CheckId::TallyOracle, &[Action::Vote], &[0.5], 1, &ctx).is_none());
+        assert!(shrink_failure(CheckId::TallyOracle, &[Action::Vote], &[0.5], 1, None).is_none());
     }
 }

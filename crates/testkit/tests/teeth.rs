@@ -1,6 +1,7 @@
 //! End-to-end tests of the conformance runner: a clean quick run passes,
-//! and an injected tally mutation is detected with a shrunk minimal
-//! instance and a usable reproduction command.
+//! every injected mutant is caught by each check it declares in
+//! [`Mutation::caught_by`], and a caught mutant comes with a shrunk
+//! minimal instance and a usable reproduction command.
 
 use ld_testkit::{run_conformance, ConformanceConfig, Mutation};
 
@@ -24,6 +25,49 @@ fn quick_grid_is_clean() {
     );
     assert!(report.cells > 0);
     assert!(report.checks_run > 0);
+}
+
+/// The mutant table: each mutant runs on the quick grid's
+/// `complete/linear` cells against exactly the checks it declares, and
+/// every one of those checks must report a mismatch that replays the
+/// mutant.
+#[test]
+fn every_mutant_is_caught_by_each_declared_check() {
+    let mut missed = Vec::new();
+    for mutation in Mutation::all() {
+        let id = mutation.id();
+        assert_eq!(Mutation::parse(id), Some(mutation));
+        let declared = mutation.caught_by();
+        assert!(!declared.is_empty(), "mutant {id} declares no checks");
+        let only: Vec<&str> = declared.iter().map(|c| c.id()).collect();
+        let cfg = ConformanceConfig {
+            mutation: Some(mutation),
+            only: Some(only.join(",")),
+            case_filter: Some("complete/linear".to_string()),
+            ..quick_config()
+        };
+        let report = run_conformance(&cfg);
+        assert!(
+            report.mismatches.iter().all(|m| m.check != "config"),
+            "mutant {id}: {}",
+            report.to_json()
+        );
+        for check in only {
+            if !report.mismatches.iter().any(|m| m.check == check) {
+                missed.push(format!("mutant {id} was not caught by {check}"));
+            }
+        }
+        let flag = format!("--mutate {id}");
+        for m in &report.mismatches {
+            assert!(
+                m.repro.contains(&flag),
+                "mutant {id}: repro does not replay it: {:?}",
+                m.repro
+            );
+        }
+    }
+    assert_eq!(Mutation::parse("nonsense"), None);
+    assert!(missed.is_empty(), "{}", missed.join("\n"));
 }
 
 #[test]
