@@ -22,9 +22,8 @@ cargo test -q
 echo "==> cargo test --workspace --release -q (every crate's unit, property and integration tests, incl. the teeth mutant table)"
 cargo test --workspace --release -q
 
-echo "==> ld-store without mmap (the std::fs::read fallback) and ld-obs with recording on"
+echo "==> ld-store without mmap (the std::fs::read fallback)"
 cargo test -q -p ld-store --no-default-features
-cargo test -q -p ld-obs --features enabled
 
 echo "==> large-n direct-voting DP differential (banded vs naive full-width DP, n = 16384)"
 cargo test --release -q -p ld-testkit --test direct_dp_differential -- --ignored
@@ -89,11 +88,6 @@ cargo test -q -p ld-sim --test scheduler_determinism
 
 echo "==> golden snapshot tests (rendering stability)"
 cargo test -q -p ld-sim --test snapshot_report
-
-echo "==> cargo build --release --features obs (instrumented build + obs goldens/neutrality)"
-# Its own target dir, so ./target/release/repro stays the plain build.
-cargo build --release --features obs --target-dir target/obs
-cargo test -q -p ld-sim --test snapshot_report --test obs_neutrality --features obs
 
 echo "==> perfbench tests (its own workspace: builds against the crates' public API)"
 cargo test --offline --release -q --manifest-path perfbench/Cargo.toml

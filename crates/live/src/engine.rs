@@ -43,6 +43,7 @@ use ld_core::tally::TieBreak;
 use ld_core::CoreError;
 use ld_prob::normal::std_normal_cdf;
 use ld_prob::poisson_binomial::WeightedBernoulliSum;
+use std::time::Instant;
 
 /// One event in a delegation stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -216,6 +217,34 @@ pub struct LiveEngine {
     dirty: Vec<usize>,
     touched: Vec<usize>,
     stack: Vec<usize>,
+    obs: LiveObs,
+}
+
+/// The engine's ld-obs handles, looked up once at construction so an
+/// update records with relaxed atomics only.
+#[derive(Debug, Clone)]
+struct LiveObs {
+    applied: ld_obs::Counter,
+    rejected: ld_obs::Counter,
+    batches: ld_obs::Counter,
+    touched: ld_obs::Histogram,
+    batch_regions: ld_obs::Histogram,
+    apply_ns: ld_obs::Histogram,
+    apply_batch_ns: ld_obs::Histogram,
+}
+
+impl LiveObs {
+    fn resolve() -> Self {
+        LiveObs {
+            applied: ld_obs::counter("live.applied"),
+            rejected: ld_obs::counter("live.rejected"),
+            batches: ld_obs::counter("live.batches"),
+            touched: ld_obs::histogram("live.touched"),
+            batch_regions: ld_obs::histogram("live.batch_regions"),
+            apply_ns: ld_obs::histogram("live.apply_ns"),
+            apply_batch_ns: ld_obs::histogram("live.apply_batch_ns"),
+        }
+    }
 }
 
 impl LiveEngine {
@@ -284,6 +313,7 @@ impl LiveEngine {
             dirty: Vec::new(),
             touched: Vec::new(),
             stack: Vec::new(),
+            obs: LiveObs::resolve(),
         };
         engine.rebuild_forest_and_depths();
         engine.refresh_tally();
@@ -445,6 +475,7 @@ impl LiveEngine {
             dirty: Vec::new(),
             touched: Vec::new(),
             stack: Vec::new(),
+            obs: LiveObs::resolve(),
         };
         // Recomputes depths (and the histogram) by DFS; the local rules
         // above guarantee it reproduces the supplied array.
@@ -575,17 +606,23 @@ impl LiveEngine {
     /// Returns the typed [`RejectReason`] for an invalid update; the
     /// engine state is unchanged in that case.
     pub fn apply(&mut self, update: Update) -> Result<usize, RejectReason> {
-        let _span = ld_obs::span("live.apply_ns");
+        let start = Instant::now();
         self.dirty.clear();
-        if let Err(reason) = self.validate(update) {
-            ld_obs::counter("live.rejected").incr();
-            return Err(reason);
-        }
-        self.apply_structural(update);
-        let touched = self.recompute_dirty();
-        ld_obs::counter("live.applied").incr();
-        ld_obs::histogram("live.touched").record(touched as u64);
-        Ok(touched)
+        let outcome = match self.validate(update) {
+            Err(reason) => {
+                self.obs.rejected.incr();
+                Err(reason)
+            }
+            Ok(()) => {
+                self.apply_structural(update);
+                let touched = self.recompute_dirty();
+                self.obs.applied.incr();
+                self.obs.touched.record(touched as u64);
+                Ok(touched)
+            }
+        };
+        self.obs.apply_ns.record(start.elapsed().as_nanos() as u64);
+        outcome
     }
 
     /// Applies a batch of updates, recomputing each touched region once:
@@ -596,7 +633,7 @@ impl LiveEngine {
     /// batch accepts exactly the same updates as streaming them one at a
     /// time through [`LiveEngine::apply`].
     pub fn apply_batch(&mut self, updates: &[Update]) -> BatchReport {
-        let _span = ld_obs::span("live.apply_batch_ns");
+        let start = Instant::now();
         let mut report = BatchReport::default();
         self.dirty.clear();
         for (k, &update) in updates.iter().enumerate() {
@@ -608,12 +645,15 @@ impl LiveEngine {
                 Err(reason) => report.rejected.push((k, reason)),
             }
         }
-        ld_obs::histogram("live.batch_regions").record(self.dirty.len() as u64);
+        self.obs.batch_regions.record(self.dirty.len() as u64);
         report.touched = self.recompute_dirty();
-        ld_obs::counter("live.batches").incr();
-        ld_obs::counter("live.applied").add(report.applied as u64);
-        ld_obs::counter("live.rejected").add(report.rejected.len() as u64);
-        ld_obs::histogram("live.touched").record(report.touched as u64);
+        self.obs.batches.incr();
+        self.obs.applied.add(report.applied as u64);
+        self.obs.rejected.add(report.rejected.len() as u64);
+        self.obs.touched.record(report.touched as u64);
+        self.obs
+            .apply_batch_ns
+            .record(start.elapsed().as_nanos() as u64);
         report
     }
 

@@ -1,10 +1,9 @@
-//! **ld-obs** — lightweight observability for the liquid-democracy
+//! **ld-obs** — always-on observability for the liquid-democracy
 //! workspace.
 //!
 //! The API is three primitives plus a snapshot:
 //!
-//! * [`counter`] — a named monotonic [`u64`] counter (atomic when the
-//!   feature is on).
+//! * [`counter`] — a named monotonic atomic [`u64`] counter.
 //! * [`span`] — an RAII guard that records its scope's wall-clock
 //!   duration (nanoseconds) into the histogram of the same name. The
 //!   guard records on `Drop`, so it survives `?` and panics.
@@ -19,14 +18,20 @@
 //! the guard flushes `<prefix>.finished` and `<prefix>.lost` so that
 //! `started == finished + lost` holds unconditionally.
 //!
-//! Everything lives behind the `enabled` cargo feature. Without it the
-//! whole crate compiles to unit structs and empty `#[inline(always)]`
-//! functions: no atomics, no locks, no clock reads — the hot path is
-//! bit-identical to an uninstrumented build (the `obs_neutrality`
-//! tests in `ld-sim` check exactly this).
+//! Recording is always on. A name lookup takes the registry lock and
+//! allocates, so hot loops look their handles up once, before the loop,
+//! and then record through the returned [`Counter`]/[`Histogram`] with
+//! relaxed atomics only. Recording never feeds back into a computation
+//! (the `obs_neutrality` tests in `ld-sim` pin results recorded before
+//! recording was always on).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// Summary of one histogram at snapshot time.
 ///
@@ -65,351 +70,246 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// True when no metric was recorded (always true with the feature
-    /// off).
+    /// True when no metric was registered since the last [`reset`].
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.histograms.is_empty()
     }
 }
 
-#[cfg(feature = "enabled")]
-mod real {
-    use super::{HistSummary, Snapshot};
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
-    use std::time::Instant;
+const BUCKETS: usize = 64;
 
-    const BUCKETS: usize = 64;
+#[derive(Debug)]
+struct Hist {
+    buckets: [AtomicU64; BUCKETS],
+    sum: AtomicU64,
+    max: AtomicU64,
+}
 
-    pub struct Hist {
-        buckets: [AtomicU64; BUCKETS],
-        count: AtomicU64,
-        sum: AtomicU64,
-        max: AtomicU64,
-    }
-
-    impl Hist {
-        fn new() -> Self {
-            Hist {
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                max: AtomicU64::new(0),
-            }
+impl Default for Hist {
+    fn default() -> Self {
+        Hist {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
+    }
+}
 
-        pub fn record(&self, value: u64) {
-            let idx = bucket_of(value);
-            self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(value, Ordering::Relaxed);
+impl Hist {
+    fn record(&self, value: u64) {
+        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+        // The max only grows, so a plain load spares most samples the
+        // read-modify-write.
+        if value > self.max.load(Ordering::Relaxed) {
             self.max.fetch_max(value, Ordering::Relaxed);
         }
-
-        fn summary(&self, name: &str) -> HistSummary {
-            let counts: Vec<u64> = self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect();
-            let count: u64 = counts.iter().sum();
-            let max = self.max.load(Ordering::Relaxed);
-            HistSummary {
-                name: name.to_string(),
-                count,
-                sum: self.sum.load(Ordering::Relaxed),
-                p50: quantile(&counts, count, max, 0.50),
-                p90: quantile(&counts, count, max, 0.90),
-                p99: quantile(&counts, count, max, 0.99),
-                max,
-            }
-        }
     }
 
-    /// Bucket `i` holds values in `[2^(i-1), 2^i)`; bucket 0 holds 0.
-    fn bucket_of(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            (64 - value.leading_zeros() as usize).min(BUCKETS - 1)
-        }
-    }
-
-    /// Midpoint-of-bucket quantile estimate; the top occupied bucket is
-    /// capped at the exact max.
-    fn quantile(counts: &[u64], total: u64, max: u64, q: f64) -> u64 {
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((total as f64 - 1.0) * q).round() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen > rank {
-                if i == 0 {
-                    return 0;
-                }
-                let lo = 1u64 << (i - 1);
-                let hi = (lo.saturating_mul(2)).saturating_sub(1).min(max);
-                return lo + (hi.max(lo) - lo) / 2;
-            }
-        }
-        max
-    }
-
-    #[derive(Default)]
-    struct Registry {
-        counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
-        hists: Mutex<HashMap<String, Arc<Hist>>>,
-    }
-
-    fn registry() -> &'static Registry {
-        static REGISTRY: OnceLock<Registry> = OnceLock::new();
-        REGISTRY.get_or_init(Registry::default)
-    }
-
-    /// Handle to a named atomic counter.
-    #[derive(Clone)]
-    pub struct Counter(Arc<AtomicU64>);
-
-    impl Counter {
-        /// Adds `n` (relaxed; counters are merged at snapshot time).
-        pub fn add(&self, n: u64) {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
-
-        /// Adds one.
-        pub fn incr(&self) {
-            self.add(1);
-        }
-    }
-
-    /// Handle to a named histogram.
-    #[derive(Clone)]
-    pub struct Histogram(Arc<Hist>);
-
-    impl Histogram {
-        /// Records one sample.
-        pub fn record(&self, value: u64) {
-            self.0.record(value);
-        }
-    }
-
-    /// RAII scope timer; records elapsed nanoseconds on `Drop`.
-    #[must_use = "a span records on Drop; binding it to _ discards the measurement"]
-    pub struct Span {
-        hist: Arc<Hist>,
-        start: Instant,
-    }
-
-    impl Drop for Span {
-        fn drop(&mut self) {
-            self.hist.record(self.start.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Looks up (registering on first use) the named counter.
-    pub fn counter(name: &str) -> Counter {
-        let mut map = registry().counters.lock().expect("obs counter registry");
-        Counter(Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        ))
-    }
-
-    /// Looks up (registering on first use) the named histogram.
-    pub fn histogram(name: &str) -> Histogram {
-        let mut map = registry().hists.lock().expect("obs histogram registry");
-        Histogram(Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Hist::new())),
-        ))
-    }
-
-    /// Starts a scope timer recording into the histogram `name`.
-    pub fn span(name: &str) -> Span {
-        Span {
-            hist: histogram(name).0,
-            start: Instant::now(),
-        }
-    }
-
-    /// Copies every registered metric, sorted by name.
-    pub fn snapshot() -> Snapshot {
-        let counters_map = registry().counters.lock().expect("obs counter registry");
-        let mut counters: Vec<(String, u64)> = counters_map
+    fn summary(&self, name: &str) -> HistSummary {
+        let counts: Vec<u64> = self
+            .buckets
             .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
+            .map(|b| b.load(Ordering::Relaxed))
             .collect();
-        drop(counters_map);
-        counters.sort();
-        let hists_map = registry().hists.lock().expect("obs histogram registry");
-        let mut histograms: Vec<HistSummary> =
-            hists_map.iter().map(|(k, v)| v.summary(k)).collect();
-        drop(hists_map);
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        Snapshot {
-            counters,
-            histograms,
+        let count: u64 = counts.iter().sum();
+        let max = self.max.load(Ordering::Relaxed);
+        HistSummary {
+            name: name.to_string(),
+            count,
+            sum: self.sum.load(Ordering::Relaxed),
+            p50: quantile(&counts, count, max, 0.50),
+            p90: quantile(&counts, count, max, 0.90),
+            p99: quantile(&counts, count, max, 0.99),
+            max,
         }
     }
+}
 
-    pub fn reset() {
-        registry()
-            .counters
-            .lock()
-            .expect("obs counter registry")
-            .clear();
-        registry()
-            .hists
-            .lock()
-            .expect("obs histogram registry")
-            .clear();
+/// Bucket `i` holds values in `[2^(i-1), 2^i)`; bucket 0 holds 0.
+fn bucket_of(value: u64) -> usize {
+    if value == 0 {
+        0
+    } else {
+        (64 - value.leading_zeros() as usize).min(BUCKETS - 1)
     }
+}
 
-    /// Panic-safe trial accounting: `started` is flushed eagerly, and
-    /// `Drop` reconciles `finished`/`lost` even while unwinding.
-    pub struct TrialGuard {
-        finished: Counter,
-        lost: Counter,
-        share: u64,
-        done: u64,
+/// Midpoint-of-bucket quantile estimate; the top occupied bucket is
+/// capped at the exact max.
+fn quantile(counts: &[u64], total: u64, max: u64, q: f64) -> u64 {
+    if total == 0 {
+        return 0;
     }
-
-    impl TrialGuard {
-        /// Registers `share` trials as started under `prefix`.
-        pub fn new(prefix: &str, share: u64) -> Self {
-            counter(&format!("{prefix}.started")).add(share);
-            TrialGuard {
-                finished: counter(&format!("{prefix}.finished")),
-                lost: counter(&format!("{prefix}.lost")),
-                share,
-                done: 0,
+    let rank = ((total as f64 - 1.0) * q).round() as u64;
+    let mut seen = 0u64;
+    for (i, &c) in counts.iter().enumerate() {
+        seen += c;
+        if seen > rank {
+            if i == 0 {
+                return 0;
             }
-        }
-
-        /// Marks one trial of the share as finished.
-        pub fn note_done(&mut self) {
-            self.done += 1;
+            let lo = 1u64 << (i - 1);
+            let hi = (lo.saturating_mul(2)).saturating_sub(1).min(max);
+            return lo + (hi.max(lo) - lo) / 2;
         }
     }
+    max
+}
 
-    impl Drop for TrialGuard {
-        fn drop(&mut self) {
-            let done = self.done.min(self.share);
-            self.finished.add(done);
-            self.lost.add(self.share - done);
-        }
+#[derive(Default)]
+struct Registry {
+    counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
+    hists: Mutex<HashMap<String, Arc<Hist>>>,
+}
+
+fn registry() -> &'static Registry {
+    static REGISTRY: OnceLock<Registry> = OnceLock::new();
+    REGISTRY.get_or_init(Registry::default)
+}
+
+/// Handle to a named atomic counter.
+#[derive(Debug, Clone)]
+pub struct Counter(Arc<AtomicU64>);
+
+impl Counter {
+    /// Adds `n` (relaxed; counters are merged at snapshot time).
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds one.
+    pub fn incr(&self) {
+        self.add(1);
     }
 }
 
-#[cfg(feature = "enabled")]
-pub use real::{counter, histogram, snapshot, span, Counter, Histogram, Span, TrialGuard};
+/// Handle to a histogram: a named one from [`histogram`], or with
+/// `Default` a private one that no [`snapshot`] lists.
+#[derive(Debug, Clone, Default)]
+pub struct Histogram(Arc<Hist>);
 
-#[cfg(feature = "enabled")]
-/// Clears every registered metric (names and values).
+impl Histogram {
+    /// Records one sample.
+    pub fn record(&self, value: u64) {
+        self.0.record(value);
+    }
+
+    /// Summarizes the samples recorded so far, labelled `name`.
+    #[must_use]
+    pub fn summary(&self, name: &str) -> HistSummary {
+        self.0.summary(name)
+    }
+}
+
+/// RAII scope timer; records elapsed nanoseconds on `Drop`.
+#[must_use = "a span records on Drop; binding it to _ discards the measurement"]
+pub struct Span {
+    hist: Histogram,
+    start: Instant,
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        self.hist.record(self.start.elapsed().as_nanos() as u64);
+    }
+}
+
+/// Looks up (registering on first use) the named counter.
+pub fn counter(name: &str) -> Counter {
+    let mut map = registry().counters.lock().expect("obs counter registry");
+    Counter(Arc::clone(
+        map.entry(name.to_string())
+            .or_insert_with(|| Arc::new(AtomicU64::new(0))),
+    ))
+}
+
+/// Looks up (registering on first use) the named histogram.
+pub fn histogram(name: &str) -> Histogram {
+    let mut map = registry().hists.lock().expect("obs histogram registry");
+    Histogram(Arc::clone(map.entry(name.to_string()).or_default()))
+}
+
+/// Starts a scope timer recording into the histogram `name`.
+pub fn span(name: &str) -> Span {
+    Span {
+        hist: histogram(name),
+        start: Instant::now(),
+    }
+}
+
+/// Copies every registered metric, sorted by name.
+pub fn snapshot() -> Snapshot {
+    let counters_map = registry().counters.lock().expect("obs counter registry");
+    let mut counters: Vec<(String, u64)> = counters_map
+        .iter()
+        .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
+        .collect();
+    drop(counters_map);
+    counters.sort();
+    let hists_map = registry().hists.lock().expect("obs histogram registry");
+    let mut histograms: Vec<HistSummary> = hists_map.iter().map(|(k, v)| v.summary(k)).collect();
+    drop(hists_map);
+    histograms.sort_by(|a, b| a.name.cmp(&b.name));
+    Snapshot {
+        counters,
+        histograms,
+    }
+}
+
+/// Clears every registered metric (names and values). Handles looked
+/// up before the reset keep counting, but no later snapshot sees them.
 pub fn reset() {
-    real::reset();
+    registry()
+        .counters
+        .lock()
+        .expect("obs counter registry")
+        .clear();
+    registry()
+        .hists
+        .lock()
+        .expect("obs histogram registry")
+        .clear();
 }
 
-#[cfg(feature = "enabled")]
-/// True when the `enabled` feature is compiled in.
-#[must_use]
-pub const fn enabled() -> bool {
-    true
+/// Panic-safe trial accounting: `started` is flushed eagerly, and
+/// `Drop` reconciles `finished`/`lost` even while unwinding. The guard
+/// is `Sync`, so the workers of one run can share it.
+pub struct TrialGuard {
+    finished: Counter,
+    lost: Counter,
+    share: u64,
+    done: AtomicU64,
 }
 
-#[cfg(not(feature = "enabled"))]
-mod noop {
-    use super::Snapshot;
-
-    /// Disabled counter: every method is an empty inline function.
-    #[derive(Clone, Copy)]
-    pub struct Counter;
-
-    impl Counter {
-        /// No-op.
-        #[inline(always)]
-        pub fn add(&self, _n: u64) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn incr(&self) {}
-    }
-
-    /// Disabled histogram: every method is an empty inline function.
-    #[derive(Clone, Copy)]
-    pub struct Histogram;
-
-    impl Histogram {
-        /// No-op.
-        #[inline(always)]
-        pub fn record(&self, _value: u64) {}
-    }
-
-    /// Disabled span: a unit struct with no `Drop` impl.
-    #[must_use = "a span records on Drop; binding it to _ discards the measurement"]
-    #[derive(Clone, Copy)]
-    pub struct Span;
-
-    /// No-op counter lookup.
-    #[inline(always)]
-    pub fn counter(_name: &str) -> Counter {
-        Counter
-    }
-
-    /// No-op histogram lookup.
-    #[inline(always)]
-    pub fn histogram(_name: &str) -> Histogram {
-        Histogram
-    }
-
-    /// No-op span.
-    #[inline(always)]
-    pub fn span(_name: &str) -> Span {
-        Span
-    }
-
-    /// Always-empty snapshot.
-    #[inline(always)]
-    pub fn snapshot() -> Snapshot {
-        Snapshot::default()
-    }
-
-    /// Disabled trial guard: a unit struct, no counters, no `Drop`.
-    pub struct TrialGuard;
-
-    impl TrialGuard {
-        /// No-op.
-        #[inline(always)]
-        pub fn new(_prefix: &str, _share: u64) -> Self {
-            TrialGuard
+impl TrialGuard {
+    /// Registers `share` trials as started under `prefix`.
+    pub fn new(prefix: &str, share: u64) -> Self {
+        counter(&format!("{prefix}.started")).add(share);
+        TrialGuard {
+            finished: counter(&format!("{prefix}.finished")),
+            lost: counter(&format!("{prefix}.lost")),
+            share,
+            done: AtomicU64::new(0),
         }
+    }
 
-        /// No-op.
-        #[inline(always)]
-        pub fn note_done(&mut self) {}
+    /// Marks one trial of the share as finished.
+    pub fn note_done(&self) {
+        self.done.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-pub use noop::{counter, histogram, snapshot, span, Counter, Histogram, Span, TrialGuard};
-
-#[cfg(not(feature = "enabled"))]
-/// No-op with the feature off.
-#[inline(always)]
-pub fn reset() {}
-
-#[cfg(not(feature = "enabled"))]
-/// True when the `enabled` feature is compiled in.
-#[must_use]
-pub const fn enabled() -> bool {
-    false
+impl Drop for TrialGuard {
+    fn drop(&mut self) {
+        let done = self.done.load(Ordering::Relaxed).min(self.share);
+        self.finished.add(done);
+        self.lost.add(self.share - done);
+    }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -444,11 +344,22 @@ mod tests {
         }
         let snap = snapshot();
         let s = &snap.histograms[0];
+        assert_eq!(s, &h.summary("h"));
         assert_eq!(s.count, 7);
         assert_eq!(s.sum, 1_001_106);
         assert_eq!(s.max, 1_000_000);
         assert!(s.p50 >= 2 && s.p50 <= 3, "p50={}", s.p50);
         assert!(s.p99 <= s.max && s.p99 >= s.p90);
+    }
+
+    #[test]
+    fn default_histogram_is_private() {
+        let _g = lock();
+        reset();
+        let h = Histogram::default();
+        h.record(5);
+        assert_eq!(h.summary("own").count, 1);
+        assert!(snapshot().is_empty());
     }
 
     #[test]
@@ -468,14 +379,14 @@ mod tests {
         let _g = lock();
         reset();
         let unwound = std::panic::catch_unwind(|| {
-            let mut g = TrialGuard::new("t", 10);
+            let g = TrialGuard::new("t", 10);
             for _ in 0..4 {
                 g.note_done();
             }
             panic!("boom");
         });
         assert!(unwound.is_err());
-        let mut g = TrialGuard::new("t", 5);
+        let g = TrialGuard::new("t", 5);
         for _ in 0..5 {
             g.note_done();
         }

@@ -138,7 +138,9 @@ struct Published {
     epoch: AtomicU64,
     snap: RwLock<Arc<EpochSnapshot>>,
     enqueued: AtomicU64,
-    latencies_ns: Mutex<Vec<u64>>,
+    /// Ingest-to-publish latencies in nanoseconds: this election's own
+    /// fixed-bucket histogram, not one of the registry's.
+    latency_ns: ld_obs::Histogram,
 }
 
 enum Msg {
@@ -156,6 +158,7 @@ pub struct Election {
     sequencer: Option<JoinHandle<Option<String>>>,
     published: Arc<Published>,
     identity: Mutex<IdentityBackend>,
+    obs_enqueued: ld_obs::Counter,
 }
 
 enum IdentityBackend {
@@ -314,7 +317,7 @@ impl Election {
             epoch: AtomicU64::new(epoch),
             snap: RwLock::new(Arc::new(initial)),
             enqueued: AtomicU64::new(0),
-            latencies_ns: Mutex::new(Vec::new()),
+            latency_ns: ld_obs::Histogram::default(),
         });
         let (ingest_tx, ingest_rx) = mpsc::channel();
         let sequencer = Sequencer {
@@ -331,6 +334,7 @@ impl Election {
             stamps: Vec::new(),
             windows: 0,
             failure: None,
+            obs: SequencerObs::resolve(),
         };
         let handle = std::thread::Builder::new()
             .name("ld-serve-sequencer".to_string())
@@ -342,6 +346,7 @@ impl Election {
             sequencer: Some(handle),
             published,
             identity: Mutex::new(identity),
+            obs_enqueued: ld_obs::counter("serve.enqueued"),
         })
     }
 
@@ -385,7 +390,7 @@ impl Election {
         tx.send(Msg::Update(update, Instant::now()))
             .map_err(|_| ServeError::Closed)?;
         self.published.enqueued.fetch_add(1, Ordering::Relaxed);
-        ld_obs::counter("serve.enqueued").incr();
+        self.obs_enqueued.incr();
         Ok(())
     }
 
@@ -433,16 +438,12 @@ impl Election {
         }
     }
 
-    /// Ingest-to-publish latencies recorded so far, in nanoseconds
-    /// (one sample per enqueued update, stamped at `submit` and closed
-    /// at the publish that covered it).
+    /// Summary of the ingest-to-publish latencies recorded so far, in
+    /// nanoseconds (one sample per enqueued update, stamped at `submit`
+    /// and closed at the publish that covered it).
     #[must_use]
-    pub fn latencies_ns(&self) -> Vec<u64> {
-        self.published
-            .latencies_ns
-            .lock()
-            .expect("latency lock")
-            .clone()
+    pub fn latency_ns(&self) -> ld_obs::HistSummary {
+        self.published.latency_ns.summary("ingest_to_publish_ns")
     }
 
     /// Graceful shutdown: drains pending ingest, fsyncs the WAL,
@@ -516,6 +517,30 @@ struct Sequencer {
     windows: u32,
     /// The first durable-layer failure; once set, no epoch publishes.
     failure: Option<String>,
+    obs: SequencerObs,
+}
+
+/// The sequencer's ld-obs handles, looked up once before its loop.
+struct SequencerObs {
+    window_updates: ld_obs::Histogram,
+    rejected: ld_obs::Counter,
+    publish_ns: ld_obs::Histogram,
+    ingest_to_publish_ns: ld_obs::Histogram,
+    epochs: ld_obs::Counter,
+    applied: ld_obs::Counter,
+}
+
+impl SequencerObs {
+    fn resolve() -> Self {
+        SequencerObs {
+            window_updates: ld_obs::histogram("serve.window_updates"),
+            rejected: ld_obs::counter("serve.rejected"),
+            publish_ns: ld_obs::histogram("serve.publish_ns"),
+            ingest_to_publish_ns: ld_obs::histogram("serve.ingest_to_publish_ns"),
+            epochs: ld_obs::counter("serve.epochs"),
+            applied: ld_obs::counter("serve.applied"),
+        }
+    }
 }
 
 impl Sequencer {
@@ -580,7 +605,7 @@ impl Sequencer {
     /// Applies one ingest window in arrival order and logs the accepted
     /// updates.
     fn apply_window(&mut self, buf: Vec<(Update, Instant)>) {
-        ld_obs::histogram("serve.window_updates").record(buf.len() as u64);
+        self.obs.window_updates.record(buf.len() as u64);
         let mut accepted = Vec::with_capacity(buf.len());
         for (update, at) in buf {
             self.stamps.push(at);
@@ -588,7 +613,7 @@ impl Sequencer {
                 accepted.push(update);
             } else {
                 self.rejected += 1;
-                ld_obs::counter("serve.rejected").incr();
+                self.obs.rejected.incr();
             }
         }
         self.applied += accepted.len() as u64;
@@ -603,7 +628,16 @@ impl Sequencer {
     /// A failure is sticky: no later epoch publishes, and `shutdown`
     /// surfaces it.
     fn barrier_and_publish(&mut self) -> Result<Arc<EpochSnapshot>, String> {
-        let _span = ld_obs::span("serve.publish_ns");
+        let start = Instant::now();
+        let published = self.publish();
+        self.obs
+            .publish_ns
+            .record(start.elapsed().as_nanos() as u64);
+        published
+    }
+
+    /// The barrier itself; [`Sequencer::barrier_and_publish`] times it.
+    fn publish(&mut self) -> Result<Arc<EpochSnapshot>, String> {
         self.windows = 0;
         let committed = match self.failure.clone() {
             Some(message) => Err(message),
@@ -622,19 +656,20 @@ impl Sequencer {
             rejected: self.rejected,
             tally,
         });
-        *self.published.snap.write().expect("snapshot lock") = Arc::clone(&snap);
+        let previous = std::mem::replace(
+            &mut *self.published.snap.write().expect("snapshot lock"),
+            Arc::clone(&snap),
+        );
         self.published.epoch.store(epoch, Ordering::Release);
         let now = Instant::now();
-        {
-            let mut lat = self.published.latencies_ns.lock().expect("latency lock");
-            for at in self.stamps.drain(..) {
-                let ns = now.saturating_duration_since(at).as_nanos() as u64;
-                lat.push(ns);
-                ld_obs::histogram("serve.ingest_to_publish_ns").record(ns);
-            }
+        for at in self.stamps.drain(..) {
+            let ns = now.saturating_duration_since(at).as_nanos() as u64;
+            self.published.latency_ns.record(ns);
+            self.obs.ingest_to_publish_ns.record(ns);
         }
-        ld_obs::counter("serve.epochs").incr();
-        ld_obs::counter("serve.applied").add(snap.applied);
+        self.obs.epochs.incr();
+        // `applied` is cumulative; the counter takes this epoch's share.
+        self.obs.applied.add(snap.applied - previous.applied);
         Ok(snap)
     }
 

@@ -124,8 +124,8 @@ fn service_matches_the_single_engine_oracle() {
     assert_eq!(again.tally.digest, snap.tally.digest, "digest");
     // Every enqueued op got a latency sample by now.
     assert_eq!(
-        election.latencies_ns().len(),
-        updates.len(),
+        election.latency_ns().count,
+        updates.len() as u64,
         "latency samples"
     );
     election.shutdown().expect("shutdown");

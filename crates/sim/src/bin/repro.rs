@@ -1534,8 +1534,6 @@ impl ld_core::mechanisms::Mechanism for PanicInjection {
 
 /// Emits the ld-obs sinks requested on the command line: the human
 /// summary table on stdout and/or the JSONL event stream to a file.
-/// With default features both sinks render empty (the summary carries a
-/// note saying how to enable collection).
 fn emit_obs(obs_summary: bool, obs_jsonl: Option<&std::path::Path>) {
     if !obs_summary && obs_jsonl.is_none() {
         return;

@@ -216,15 +216,13 @@ impl Engine {
         // cannot change it, and the determinism suite deliberately runs
         // 8–16 workers on small hosts to prove exactly that.
         let threads = self.workers.min(chunks as usize).max(1);
+        let obs = RunObs::resolve(trials);
 
         let next_chunk = AtomicU64::new(0);
         let failure: Mutex<Option<ld_core::CoreError>> = Mutex::new(None);
         let collected: Mutex<Vec<(u64, GainEstimate)>> =
             Mutex::new(Vec::with_capacity(chunks as usize));
         let worker = |w: usize| {
-            let claimed = ld_obs::counter("engine.chunks.claimed");
-            let steals = ld_obs::counter("engine.steals");
-            let reuse = ld_obs::counter("engine.scratch.reuse");
             let mut forest = CsrForest::new();
             let mut scratch = PackedTallyScratch::new();
             loop {
@@ -235,12 +233,12 @@ impl Engine {
                 if c >= chunks {
                     return;
                 }
-                claimed.incr();
+                obs.claimed.incr();
                 // A "steal": the chunk lands on a different worker than a
                 // fixed round-robin split would have sent it to, i.e.
                 // someone finished early and took over.
                 if c as usize % threads != w {
-                    steals.incr();
+                    obs.steals.incr();
                 }
                 match run_chunk(
                     c,
@@ -253,7 +251,7 @@ impl Engine {
                     &mut forest,
                     packed,
                     &mut scratch,
-                    &reuse,
+                    &obs,
                 ) {
                     Ok(partial) => lock(&collected).push((c, partial)),
                     Err(e) => {
@@ -313,6 +311,30 @@ impl Engine {
     }
 }
 
+/// The ld-obs handles of one [`Engine::estimate_gain`] call, looked up
+/// before its workers start so the trial loop records with relaxed
+/// atomics only.
+struct RunObs {
+    claimed: ld_obs::Counter,
+    steals: ld_obs::Counter,
+    scratch_reuse: ld_obs::Counter,
+    /// Counts all the call's trials as started; its `Drop` flushes
+    /// `finished`/`lost` even when a worker panics, so
+    /// `engine.trials.started == finished + lost` always reconciles.
+    trials: ld_obs::TrialGuard,
+}
+
+impl RunObs {
+    fn resolve(trials: u64) -> Self {
+        RunObs {
+            claimed: ld_obs::counter("engine.chunks.claimed"),
+            steals: ld_obs::counter("engine.steals"),
+            scratch_reuse: ld_obs::counter("engine.scratch.reuse"),
+            trials: ld_obs::TrialGuard::new("engine.trials", trials),
+        }
+    }
+}
+
 /// Runs one chunk of trials into a fresh partial estimate seeded from
 /// `base` (the partial starts with zero draws; `p_direct` rides along via
 /// the copy). Trial `t` draws from `stream_rng(seed, t)` regardless of
@@ -329,15 +351,11 @@ fn run_chunk(
     forest: &mut CsrForest,
     packed: Option<(&PackedCompetence, u32)>,
     scratch: &mut PackedTallyScratch,
-    scratch_reuse: &ld_obs::Counter,
+    obs: &RunObs,
 ) -> ld_core::Result<GainEstimate> {
     let start = chunk * TRIAL_CHUNK;
     let end = (start + TRIAL_CHUNK).min(trials);
     let mut local = *base;
-    // The guard's Drop flushes finished/lost counts even if
-    // `mechanism.run` panics mid-chunk, so
-    // `engine.trials.started == finished + lost` always reconciles.
-    let mut guard = ld_obs::TrialGuard::new("engine.trials", end - start);
     let mut tally = match packed {
         None => DrawTally::Exact,
         Some((competence, samples)) => DrawTally::Packed {
@@ -349,11 +367,11 @@ fn run_chunk(
     for t in start..end {
         let mut rng = stream_rng(seed, t);
         let dg = mechanism.run(instance, &mut rng);
-        if ld_obs::enabled() && dg.is_single_target() && forest.fits(instance.n()) {
-            scratch_reuse.incr();
+        if dg.is_single_target() && forest.fits(instance.n()) {
+            obs.scratch_reuse.incr();
         }
         accumulate_draw(instance, &dg, tie, &mut rng, &mut local, forest, &mut tally)?;
-        guard.note_done();
+        obs.trials.note_done();
     }
     Ok(local)
 }

@@ -23,8 +23,7 @@ fn is_timing(name: &str) -> bool {
 ///
 /// With `redact_timing`, every field derived from wall-clock samples is
 /// replaced by `-` so the rendering is bit-stable across machines (used
-/// by the golden snapshot tests). When the `obs` feature is compiled
-/// out the table is empty and carries a note saying how to enable it.
+/// by the golden snapshot tests).
 pub fn summary_table(snap: &Snapshot, redact_timing: bool) -> Table {
     let mut table = Table::new(
         "Observability summary",
@@ -60,11 +59,6 @@ pub fn summary_table(snap: &Snapshot, redact_timing: bool) -> Table {
             field(h.p99),
             field(h.max),
         ]);
-    }
-    if !ld_obs::enabled() {
-        table.set_note(
-            "obs feature disabled; rebuild with --features obs to collect metrics".to_string(),
-        );
     }
     table
 }

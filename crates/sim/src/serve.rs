@@ -84,9 +84,10 @@ pub struct ServeBenchOutcome {
     pub elapsed: f64,
     /// Sequenced operations per second.
     pub ops_per_sec: f64,
-    /// Median ingest→publish latency, microseconds.
+    /// Median ingest→publish latency, microseconds (a bucket-midpoint
+    /// estimate from the election's latency histogram).
     pub p50_us: f64,
-    /// 99th-percentile ingest→publish latency, microseconds.
+    /// 99th-percentile ingest→publish latency, microseconds (likewise).
     pub p99_us: f64,
     /// Final published epoch.
     pub epoch: u64,
@@ -102,14 +103,6 @@ pub struct ServeBenchOutcome {
     pub killed: bool,
     /// The epoch committed before the simulated crash, when `kill_at`.
     pub committed_epoch: Option<u64>,
-}
-
-fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx] as f64 / 1_000.0
 }
 
 fn serve_err(e: ld_serve::ServeError) -> SimError {
@@ -184,16 +177,15 @@ pub fn run_serve_bench(spec: &ServeBenchSpec) -> Result<ServeBenchOutcome> {
     }
     let snap = election.flush().map_err(serve_err)?;
     let elapsed = t0.elapsed().as_secs_f64();
-    let mut latencies = election.latencies_ns();
-    latencies.sort_unstable();
+    let latency = election.latency_ns();
     let outcome = ServeBenchOutcome {
         n,
         applied: snap.applied,
         rejected: snap.rejected,
         elapsed,
         ops_per_sec: updates.len() as f64 / elapsed.max(1e-9),
-        p50_us: percentile_us(&latencies, 0.50),
-        p99_us: percentile_us(&latencies, 0.99),
+        p50_us: latency.p50 as f64 / 1_000.0,
+        p99_us: latency.p99 as f64 / 1_000.0,
         epoch: snap.epoch,
         digest: snap.tally.digest,
         sinks: snap.tally.sink_count,
@@ -322,6 +314,12 @@ mod tests {
         let out = run_serve_bench(&spec).expect("bench with oracle check");
         assert_eq!(out.applied + out.rejected, 3_000);
         assert!(out.ops_per_sec > 0.0);
+        assert!(
+            0.0 < out.p50_us && out.p50_us <= out.p99_us,
+            "latency p50 {} us, p99 {} us",
+            out.p50_us,
+            out.p99_us
+        );
         assert!(!out.killed);
     }
 

@@ -1,17 +1,18 @@
-//! Obs is behaviour-neutral: compiling the `obs` feature in must not
-//! change a single bit of any computed result.
+//! Obs is behaviour-neutral: always-on recording must not change a
+//! single bit of any computed result.
 //!
-//! The recorded constants below were captured from a default-features
-//! build (obs compiled out). Running this suite under `--features obs`
-//! asserts the instrumented build reproduces them bit-for-bit — spans
-//! and counters may observe the computation but never participate in
-//! it. Regenerate after an *intentional* engine change by running with
+//! The constants below were pinned from a build in which ld-obs was a
+//! compile-time feature, switched off, so nothing was recorded. Every
+//! build records now, and reproducing them bit-for-bit shows that spans
+//! and counters observe the computation but never participate in it.
+//! Regenerate after an *intentional* engine change by running with
 //! `PRINT_NEUTRALITY=1 cargo test -p ld-sim --test obs_neutrality -- --nocapture`
-//! in a default-features build and pasting the printed constants.
+//! and pasting the printed constants.
 //!
-//! Under `--features obs` the suite additionally checks the counter
-//! accounting identity `started == finished + lost`, including across a
-//! panicking mechanism (the quarantine path).
+//! The suite also checks what the counters report: the accounting
+//! identity `started == finished + lost`, including across a panicking
+//! mechanism (the quarantine path), the scheduler counters, and the
+//! service's `serve.applied`.
 
 use ld_core::distributions::CompetencyDistribution;
 use ld_core::mechanisms::ApprovalThreshold;
@@ -23,9 +24,8 @@ use ld_prob::rng::stream_rng;
 use ld_sim::engine::Engine;
 use std::sync::Mutex;
 
-/// Serializes the tests in this binary: under `--features obs` the
-/// registry is global, and the reconciliation test must not observe
-/// another test's trials.
+/// Serializes the tests in this binary: the registry is global, and a
+/// counter test must not observe another test's work.
 static NEUTRALITY_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -39,13 +39,20 @@ fn mc_instance(n: usize) -> ld_core::ProblemInstance {
     ld_core::ProblemInstance::new(generators::complete(n), profile, 0.05).expect("valid instance")
 }
 
+fn counter(snap: &ld_obs::Snapshot, name: &str) -> u64 {
+    snap.counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| *v)
+}
+
 fn maybe_print(label: &str, bits: u64) {
     if std::env::var("PRINT_NEUTRALITY").is_ok_and(|v| v == "1") {
         eprintln!("const {label}: u64 = {bits:#018x};");
     }
 }
 
-/// `estimate_gain` bits recorded from the default build (n = 96,
+/// `estimate_gain` bits pinned before recording was always on (n = 96,
 /// seed 7, 48 trials; sequential and two-worker paths). Since the
 /// chunked trial scheduler the SEQ and PAR2 constants are *equal* —
 /// the worker count no longer participates in the result at all.
@@ -54,14 +61,14 @@ const SEQ_P_MECH_BITS: u64 = 0x3fe9aeb3e865a291;
 const PAR2_P_DIRECT_BITS: u64 = 0x3fd7fc8da514cc34;
 const PAR2_P_MECH_BITS: u64 = 0x3fe9aeb3e865a291;
 
-/// Live replay summary recorded from the default build (n = 128,
+/// Live replay summary pinned before recording was always on (n = 128,
 /// balanced trace, seed 11, 300 updates).
 const LIVE_APPLIED: u64 = 0x000000000000012b;
 const LIVE_TOUCHED_TOTAL: u64 = 0x0000000000000118;
 const LIVE_DECISION_BITS: u64 = 0x3fc09092229b25f4;
 
 #[test]
-fn estimate_gain_is_bit_identical_with_and_without_obs() {
+fn estimate_gain_matches_bits_pinned_without_recording() {
     let _guard = lock();
     let inst = mc_instance(96);
     let mech = ApprovalThreshold::new(1);
@@ -86,17 +93,17 @@ fn estimate_gain_is_bit_identical_with_and_without_obs() {
     {
         assert_eq!(
             direct, expect_direct,
-            "{label}: P[direct] drifted from the uninstrumented build"
+            "{label}: P[direct] drifted from the pinned bits"
         );
         assert_eq!(
             mech_bits, expect_mech,
-            "{label}: P[mechanism] drifted from the uninstrumented build"
+            "{label}: P[mechanism] drifted from the pinned bits"
         );
     }
 }
 
 #[test]
-fn live_replay_is_bit_identical_with_and_without_obs() {
+fn live_replay_matches_summary_pinned_without_recording() {
     let _guard = lock();
     let n = 128;
     let trace = TraceConfig::balanced(n);
@@ -126,26 +133,18 @@ fn live_replay_is_bit_identical_with_and_without_obs() {
     assert_eq!(
         decision.to_bits(),
         LIVE_DECISION_BITS,
-        "decision probability drifted from the uninstrumented build"
+        "decision probability drifted from the pinned bits"
     );
 }
 
 /// The accounting identity: every started trial is eventually counted
 /// as finished or lost, even when the mechanism panics mid-batch.
-#[cfg(feature = "obs")]
 #[test]
 fn trial_counters_reconcile_even_across_panics() {
     use ld_core::delegation::Action;
     use ld_core::ProblemInstance;
 
     let _guard = lock();
-    let counter = |snap: &ld_obs::Snapshot, name: &str| -> u64 {
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
-
     // Healthy run: nothing is lost.
     ld_obs::reset();
     let inst = mc_instance(32);
@@ -218,18 +217,9 @@ fn trial_counters_reconcile_even_across_panics() {
 /// On a single worker the scheduler counters are fully deterministic:
 /// every chunk is claimed in order by the one worker (so no steals), and
 /// every trial after the first reuses the warm arena.
-#[cfg(feature = "obs")]
 #[test]
 fn scheduler_counters_are_deterministic_on_one_worker() {
-    use ld_core::mechanisms::ApprovalThreshold;
-
     let _guard = lock();
-    let counter = |snap: &ld_obs::Snapshot, name: &str| -> u64 {
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
     ld_obs::reset();
     let inst = mc_instance(32);
     Engine::new(3)
@@ -248,5 +238,31 @@ fn scheduler_counters_are_deterministic_on_one_worker() {
         39,
         "all but the very first resolve reuse the arena"
     );
+    ld_obs::reset();
+}
+
+/// `serve.applied` counts accepted updates once each: every publish adds
+/// what it applied since the previous publish, not the running total.
+#[test]
+fn serve_applied_counts_each_update_once() {
+    use ld_live::Update;
+    use ld_serve::{Election, ElectionConfig};
+
+    let _guard = lock();
+    ld_obs::reset();
+    let election = Election::create(&ElectionConfig::new(16)).expect("election");
+    let submit = |voters: std::ops::Range<usize>| {
+        for voter in voters {
+            election.submit(Update::Vote { voter }).expect("submit");
+        }
+    };
+    submit(0..10);
+    election.flush().expect("first flush");
+    submit(10..15);
+    election.flush().expect("second flush");
+    let snap = election.flush().expect("empty flush");
+    assert_eq!(snap.applied, 15);
+    assert_eq!(counter(&ld_obs::snapshot(), "serve.applied"), 15);
+    election.shutdown().expect("shutdown");
     ld_obs::reset();
 }

@@ -1,14 +1,12 @@
 //! Golden-file snapshot tests for the user-facing renderings.
 //!
 //! Pinned surfaces: the Figure 1 experiment table, the verify verdict
-//! table, and (under `--features obs`) the redacted `--obs-summary`
-//! table. Each rendering is compared byte-for-byte against a file in
-//! `tests/golden/`; refresh them after an intentional format change
-//! with:
+//! table, and the redacted `--obs-summary` table. Each rendering is
+//! compared byte-for-byte against a file in `tests/golden/`; refresh
+//! them after an intentional format change with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p ld-sim --test snapshot_report
-//! UPDATE_GOLDEN=1 cargo test -p ld-sim --test snapshot_report --features obs
 //! ```
 //!
 //! Timing fields never reach a golden: the experiment/verify tables
@@ -88,7 +86,6 @@ fn verify_table_rendering_matches_golden() {
 /// values and non-timing histograms (touched-subtree sizes, batch region
 /// counts) are deterministic for a fixed seed, and so is every span's
 /// sample *count*, so the redacted rendering is bit-stable.
-#[cfg(feature = "obs")]
 #[test]
 fn obs_summary_rendering_matches_golden() {
     use ld_core::delegation::Action;

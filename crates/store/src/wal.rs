@@ -45,6 +45,7 @@ use std::fs::File;
 use std::io::SeekFrom;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// WAL file magic ("LDWAL", a ^Z so `cat` stops, format byte).
 pub const WAL_MAGIC: [u8; 8] = *b"LDWAL\x1a\x00\x01";
@@ -353,6 +354,27 @@ pub struct WalWriter {
     since_sync: u64,
     sync_every: u64,
     scratch: Vec<u8>,
+    obs: WalObs,
+}
+
+/// The writer's ld-obs handles, looked up once when it opens.
+#[derive(Debug)]
+struct WalObs {
+    appends: ld_obs::Counter,
+    bytes: ld_obs::Counter,
+    fsyncs: ld_obs::Counter,
+    fsync_ns: ld_obs::Histogram,
+}
+
+impl WalObs {
+    fn resolve() -> Self {
+        WalObs {
+            appends: ld_obs::counter("wal.appends"),
+            bytes: ld_obs::counter("wal.bytes"),
+            fsyncs: ld_obs::counter("wal.fsyncs"),
+            fsync_ns: ld_obs::histogram("wal.fsync_ns"),
+        }
+    }
 }
 
 impl WalWriter {
@@ -390,6 +412,7 @@ impl WalWriter {
             since_sync: 0,
             sync_every,
             scratch: Vec::with_capacity(4096),
+            obs: WalObs::resolve(),
         })
     }
 
@@ -461,6 +484,7 @@ impl WalWriter {
                 since_sync: 0,
                 sync_every,
                 scratch: Vec::with_capacity(4096),
+                obs: WalObs::resolve(),
             },
             found,
         ))
@@ -496,8 +520,8 @@ impl WalWriter {
         let bytes = self.scratch.len() as u64;
         let write = self.file.write_all(&self.scratch);
         write.map_err(StoreError::io("append wal", &self.path))?;
-        ld_obs::counter("wal.appends").add(updates.len() as u64);
-        ld_obs::counter("wal.bytes").add(bytes);
+        self.obs.appends.add(updates.len() as u64);
+        self.obs.bytes.add(bytes);
         self.records += updates.len() as u64;
         self.len_bytes += bytes;
         self.since_sync += updates.len() as u64;
@@ -513,11 +537,11 @@ impl WalWriter {
     ///
     /// [`StoreError::Io`].
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        let _span = ld_obs::span("wal.fsync_ns");
-        self.file
-            .sync_data()
-            .map_err(StoreError::io("fsync wal", &self.path))?;
-        ld_obs::counter("wal.fsyncs").incr();
+        let start = Instant::now();
+        let synced = self.file.sync_data();
+        self.obs.fsync_ns.record(start.elapsed().as_nanos() as u64);
+        synced.map_err(StoreError::io("fsync wal", &self.path))?;
+        self.obs.fsyncs.incr();
         self.since_sync = 0;
         Ok(())
     }
