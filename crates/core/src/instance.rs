@@ -4,6 +4,7 @@
 use crate::competency::CompetencyProfile;
 use crate::error::{CoreError, Result};
 use ld_graph::Graph;
+use std::ops::Range;
 
 /// A liquid-democracy problem instance `G = (V, E, p)` with approval
 /// parameter `α > 0` (§2.1 of the paper).
@@ -106,36 +107,28 @@ impl ProblemInstance {
         self.graph.has_edge(i, j) && self.profile.get(i) + self.alpha <= self.profile.get(j)
     }
 
-    /// The approval set `J(i)` as a borrowed slice of the adjacency
-    /// arena, in increasing index order.
+    /// The approval set `J(i)` as a half-open range of positions in voter
+    /// `i`'s sorted neighbour row: the approved voters are
+    /// `graph().nth_neighbor(i, k)` for `k` in the range, in increasing
+    /// index order.
     ///
     /// Voters are indexed by nondecreasing competency (a
-    /// [`CompetencyProfile`] invariant) and adjacency lists are sorted (a
-    /// [`Graph`] invariant), so `p_j` is nondecreasing along
-    /// `neighbor_slice(i)` and the approved neighbours — those with
-    /// `p_i + α ≤ p_j` — form exactly a suffix of it. A binary search
-    /// finds the cut in `O(log deg)` with no allocation, which is what
-    /// makes per-trial mechanism runs cheap on dense graphs.
+    /// [`CompetencyProfile`] invariant) and neighbour rows are sorted (a
+    /// [`Graph`] invariant), so `p_j` is nondecreasing along the row and
+    /// the approved neighbours — those with `p_i + α ≤ p_j` — are exactly
+    /// a suffix of it. A binary search finds the cut in `O(log deg)` with
+    /// no allocation, which is what makes per-trial mechanism runs cheap.
+    /// On `K_n` neither the search nor reading a member touches adjacency
+    /// memory: with `α > 0` the approved voters are exactly `v_cut..n`,
+    /// the voters at least `α` more competent than `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.n()`.
-    pub fn approval_suffix(&self, i: usize) -> &[usize] {
+    pub fn approval_rows(&self, i: usize) -> Range<usize> {
         let threshold = self.profile.get(i) + self.alpha;
-        let neighbors = self.graph.neighbor_slice(i);
-        let cut = if neighbors.len() + 1 == self.n() {
-            // Full row: the neighbours are every other voter in index
-            // order, so the cut can be found in the contiguous profile
-            // array (one cache-resident binary search) instead of probing
-            // profile values through the adjacency arena. Row position =
-            // voters below the cut, minus the self slot when it precedes
-            // the cut.
-            let v_cut = self.profile.as_slice().partition_point(|&p| p < threshold);
-            v_cut - usize::from(v_cut > i)
-        } else {
-            neighbors.partition_point(|&j| self.profile.get(j) < threshold)
-        };
-        &neighbors[cut..]
+        let ps = self.profile.as_slice();
+        self.graph.partition_neighbors(i, |j| ps[j] < threshold)..self.graph.degree(i)
     }
 
     /// The approval set `J(i)`: the approved neighbours of voter `i`, in
@@ -145,21 +138,9 @@ impl ProblemInstance {
     ///
     /// Panics if `i >= self.n()`.
     pub fn approval_set(&self, i: usize) -> Vec<usize> {
-        self.approval_suffix(i).to_vec()
-    }
-
-    /// Fills `buf` with the approval set `J(i)`, reusing its allocation.
-    ///
-    /// Prefer [`ProblemInstance::approval_suffix`] where a borrow
-    /// suffices; this variant exists for callers that need an owned,
-    /// mutable set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.n()`.
-    pub fn approval_set_into(&self, i: usize, buf: &mut Vec<usize>) {
-        buf.clear();
-        buf.extend_from_slice(self.approval_suffix(i));
+        self.approval_rows(i)
+            .map(|k| self.graph.nth_neighbor(i, k))
+            .collect()
     }
 
     /// Size of the approval set `|J(i)|` without materializing it.
@@ -168,7 +149,7 @@ impl ProblemInstance {
     ///
     /// Panics if `i >= self.n()`.
     pub fn approval_count(&self, i: usize) -> usize {
-        self.approval_suffix(i).len()
+        self.approval_rows(i).len()
     }
 
     /// The exact probability that **direct voting** decides correctly on
@@ -235,19 +216,19 @@ mod tests {
 
     #[test]
     fn approval_suffix_matches_filter_scan_on_random_instances() {
-        // The binary-searched suffix must equal the naive adjacency scan
+        // The binary-searched row suffix must equal the naive adjacency scan
         // element for element — same contents, same order — on every
-        // voter of a mix of topologies, including ties at the margin.
+        // voter of a mix of topologies, including ties at the margin, on
+        // implicit (K_n) and listed rows, full (the star's hub) or not.
         use ld_prob::rng::Rng;
         let mut rng = ld_prob::rng::StdRng::seed_from_u64(0xA11CE);
-        for trial in 0..40 {
+        for trial in 0..52 {
             let n = 2 + (trial % 13);
-            let graph = if trial % 3 == 0 {
-                generators::complete(n)
-            } else if trial % 3 == 1 {
-                generators::cycle(n)
-            } else {
-                generators::erdos_renyi_gnp(n, 0.4, &mut rng).unwrap()
+            let graph = match trial % 4 {
+                0 => generators::complete(n),
+                1 => generators::cycle(n),
+                2 => generators::star(n),
+                _ => generators::erdos_renyi_gnp(n, 0.4, &mut rng).unwrap(),
             };
             let mut ps: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..0.9)).collect();
             // Inject exact-margin ties: p_j == p_i + alpha for some pairs.
@@ -265,7 +246,10 @@ mod tests {
                     .neighbors(i)
                     .filter(|&j| pi + alpha <= inst.competency(j))
                     .collect();
-                assert_eq!(inst.approval_suffix(i), naive.as_slice(), "voter {i}");
+                assert_eq!(inst.approval_set(i), naive, "voter {i}");
+                let rows = inst.approval_rows(i);
+                assert_eq!(rows.end, inst.graph().degree(i));
+                assert_eq!(inst.approval_count(i), naive.len());
             }
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::delegation::Action;
 use crate::instance::ProblemInstance;
-use crate::mechanisms::{choose_uniform, Mechanism};
+use crate::mechanisms::{choose_approved, Mechanism};
 use ld_prob::rng::RngCore;
 
 /// How the delegation threshold `j(·)` scales with the voter's
@@ -100,42 +100,21 @@ impl ApprovalThreshold {
     }
 }
 
-impl ApprovalThreshold {
-    fn decide(
-        &self,
-        instance: &ProblemInstance,
-        voter: usize,
-        approved: &[usize],
-        rng: &mut dyn RngCore,
-    ) -> Action {
+impl Mechanism for ApprovalThreshold {
+    fn act(&self, instance: &ProblemInstance, voter: usize, rng: &mut dyn RngCore) -> Action {
+        // The approval set is a range of row positions, so a run is
+        // allocation-free apart from the output vector, and on K_n reads
+        // no adjacency memory at all.
         let threshold = self.rule.threshold(instance.graph().degree(voter)).max(1);
-        if approved.len() >= threshold {
-            match choose_uniform(approved, rng) {
+        let rows = instance.approval_rows(voter);
+        if rows.len() >= threshold {
+            match choose_approved(instance, voter, rows, rng) {
                 Some(target) => Action::Delegate(target),
                 None => Action::Vote,
             }
         } else {
             Action::Vote
         }
-    }
-}
-
-impl Mechanism for ApprovalThreshold {
-    fn act(&self, instance: &ProblemInstance, voter: usize, rng: &mut dyn RngCore) -> Action {
-        self.decide(instance, voter, instance.approval_suffix(voter), rng)
-    }
-
-    fn run(
-        &self,
-        instance: &ProblemInstance,
-        rng: &mut dyn RngCore,
-    ) -> crate::delegation::DelegationGraph {
-        // Identical decisions to the default per-voter loop; the approval
-        // suffix is a borrow of the adjacency arena, so the whole run is
-        // allocation-free apart from the output vector.
-        (0..instance.n())
-            .map(|v| self.decide(instance, v, instance.approval_suffix(v), rng))
-            .collect()
     }
 
     fn name(&self) -> String {

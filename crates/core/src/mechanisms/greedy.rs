@@ -28,8 +28,8 @@ impl Mechanism for GreedyMax {
     fn act(&self, instance: &ProblemInstance, voter: usize, _rng: &mut dyn RngCore) -> Action {
         // Voters are sorted by competency, so the approved neighbour with
         // the largest index is the most competent.
-        match instance.approval_suffix(voter).last() {
-            Some(&target) => Action::Delegate(target),
+        match instance.approval_rows(voter).next_back() {
+            Some(k) => Action::Delegate(instance.graph().nth_neighbor(voter, k)),
             None => Action::Vote,
         }
     }

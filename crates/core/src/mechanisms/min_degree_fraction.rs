@@ -2,7 +2,7 @@
 
 use crate::delegation::Action;
 use crate::instance::ProblemInstance;
-use crate::mechanisms::{choose_uniform, Mechanism};
+use crate::mechanisms::{choose_approved, Mechanism};
 use ld_prob::rng::RngCore;
 
 /// The mechanism of Theorem 5: a voter delegates (to a uniformly random
@@ -64,10 +64,10 @@ impl Mechanism for MinDegreeFraction {
         if degree == 0 {
             return Action::Vote;
         }
-        let approved = instance.approval_suffix(voter);
+        let approved = instance.approval_rows(voter);
         let needed = (self.fraction * degree as f64).ceil().max(1.0) as usize;
         if approved.len() >= needed {
-            match choose_uniform(approved, rng) {
+            match choose_approved(instance, voter, approved, rng) {
                 Some(target) => Action::Delegate(target),
                 None => Action::Vote,
             }

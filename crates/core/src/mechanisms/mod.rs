@@ -40,6 +40,7 @@ pub use weighted_majority::WeightedMajorityDelegation;
 use crate::delegation::{Action, DelegationGraph};
 use crate::instance::ProblemInstance;
 use ld_prob::rng::RngCore;
+use std::ops::Range;
 
 /// A (local) delegation mechanism.
 ///
@@ -69,17 +70,25 @@ pub trait Mechanism {
     fn name(&self) -> String;
 }
 
-/// Chooses a uniformly random element of `items`, or `None` if empty.
+/// Chooses a uniformly random member of `voter`'s approval set, given as
+/// its row positions ([`ProblemInstance::approval_rows`]), or `None` if it
+/// is empty.
 ///
 /// The mechanisms in the paper always delegate to a *uniformly random*
 /// approved voter, reflecting that approved voters are indistinguishable
 /// to the delegator (§2.1, *Available Information*).
-pub(crate) fn choose_uniform(items: &[usize], rng: &mut dyn RngCore) -> Option<usize> {
+pub(crate) fn choose_approved(
+    instance: &ProblemInstance,
+    voter: usize,
+    rows: Range<usize>,
+    rng: &mut dyn RngCore,
+) -> Option<usize> {
     use ld_prob::rng::Rng;
-    if items.is_empty() {
+    if rows.is_empty() {
         None
     } else {
-        Some(items[rng.gen_range(0..items.len())])
+        let k = rows.start + rng.gen_range(0..rows.len());
+        Some(instance.graph().nth_neighbor(voter, k))
     }
 }
 
@@ -91,15 +100,20 @@ mod tests {
     use ld_prob::rng::StdRng;
 
     #[test]
-    fn choose_uniform_covers_all_items() {
+    fn choose_approved_covers_the_approval_set() {
+        let inst = ProblemInstance::new(
+            generators::complete(6),
+            CompetencyProfile::linear(6, 0.1, 0.9).unwrap(),
+            0.2,
+        )
+        .unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let items = [3usize, 7, 11];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..200 {
-            seen.insert(choose_uniform(&items, &mut rng).unwrap());
+            seen.insert(choose_approved(&inst, 1, inst.approval_rows(1), &mut rng).unwrap());
         }
-        assert_eq!(seen.len(), 3);
-        assert!(choose_uniform(&[], &mut rng).is_none());
+        assert_eq!(seen.into_iter().collect::<Vec<_>>(), inst.approval_set(1));
+        assert!(choose_approved(&inst, 5, inst.approval_rows(5), &mut rng).is_none());
     }
 
     #[test]

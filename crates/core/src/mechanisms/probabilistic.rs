@@ -2,7 +2,7 @@
 
 use crate::delegation::Action;
 use crate::instance::ProblemInstance;
-use crate::mechanisms::{choose_uniform, Mechanism};
+use crate::mechanisms::{choose_approved, Mechanism};
 use ld_prob::rng::{Rng, RngCore};
 
 /// The canonical local mechanism family of Kahng, Mackenzie and Procaccia
@@ -64,8 +64,8 @@ impl Mechanism for ProbabilisticDelegation {
         if self.q == 0.0 || !rng.gen_bool(self.q) {
             return Action::Vote;
         }
-        let approved = instance.approval_suffix(voter);
-        match choose_uniform(approved, rng) {
+        let approved = instance.approval_rows(voter);
+        match choose_approved(instance, voter, approved, rng) {
             Some(target) => Action::Delegate(target),
             None => Action::Vote,
         }

@@ -2,7 +2,7 @@
 
 use crate::delegation::Action;
 use crate::instance::ProblemInstance;
-use crate::mechanisms::{choose_uniform, Mechanism};
+use crate::mechanisms::Mechanism;
 use ld_prob::rng::{Rng, RngCore};
 
 /// **Algorithm 2**: voter `v_i` samples `d` random voters
@@ -90,12 +90,11 @@ impl SampledThreshold {
             }
             picks.into_iter().collect()
         } else {
-            let neighbours = instance.graph().neighbor_slice(voter);
-            if neighbours.len() <= self.d {
-                return neighbours.to_vec();
+            let mut pool: Vec<usize> = instance.graph().neighbors(voter).collect();
+            if pool.len() <= self.d {
+                return pool;
             }
             // Partial Fisher–Yates for d distinct neighbours.
-            let mut pool = neighbours.to_vec();
             for i in 0..self.d {
                 let j = rng.gen_range(i..pool.len());
                 pool.swap(i, j);
@@ -115,10 +114,7 @@ impl Mechanism for SampledThreshold {
             .filter(|&j| pi + instance.alpha() <= instance.competency(j))
             .collect();
         if approved.len() >= self.j_of_d.max(1) {
-            match choose_uniform(&approved, rng) {
-                Some(target) => Action::Delegate(target),
-                None => Action::Vote,
-            }
+            Action::Delegate(approved[rng.gen_range(0..approved.len())])
         } else {
             Action::Vote
         }

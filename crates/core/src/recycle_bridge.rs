@@ -6,7 +6,11 @@
 //! the realized vote of a uniformly random approved voter, and on `K_n`
 //! with the paper's sorted competencies the approval set of a voter is
 //! exactly the set of voters above them by `α` — a *prefix* once voters
-//! are enumerated from most to least competent.
+//! are enumerated from most to least competent. That set is the voter
+//! range `v_cut..n` that [`ProblemInstance::approval_rows`] finds by one
+//! binary search over the profile; `generators::complete` keeps no edge
+//! list, so the translation takes `O(n log n)` time and `O(n)` memory at
+//! any `n`.
 //!
 //! [`to_recycle_graph`] performs that translation exactly, so the recycle
 //! machinery in `ld-prob` (exact expectation/variance DPs, Lemma 2

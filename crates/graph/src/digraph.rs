@@ -170,30 +170,6 @@ impl DiGraph {
         self.longest_path()
             .expect("longest_path_len called on a cyclic graph")
     }
-
-    /// Follows out-edges from `start` until reaching a sink, using the
-    /// first out-edge at every step; returns the sink.
-    ///
-    /// This is the resolution rule for single-delegation graphs
-    /// (out-degree ≤ 1): the terminal delegate who ends up casting the vote
-    /// that `start` transitively handed over.
-    ///
-    /// Returns `None` if a cycle is encountered before reaching a sink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start >= self.n()`.
-    pub fn resolve_to_sink(&self, start: usize) -> Option<usize> {
-        let mut cur = start;
-        // After n steps without reaching a sink we must have looped.
-        for _ in 0..=self.n() {
-            match self.out[cur].iter().find(|&&w| w != cur) {
-                None => return Some(cur),
-                Some(&next) => cur = next,
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -223,8 +199,6 @@ mod tests {
         let g = chain(5);
         assert_eq!(g.sinks(), vec![4]);
         assert_eq!(g.longest_path_len(), 4);
-        assert_eq!(g.resolve_to_sink(0), Some(4));
-        assert_eq!(g.resolve_to_sink(4), Some(4));
     }
 
     #[test]
@@ -234,7 +208,6 @@ mod tests {
         assert!(!g.is_acyclic());
         assert_eq!(g.topological_order(), None);
         assert_eq!(g.longest_path(), None);
-        assert_eq!(g.resolve_to_sink(0), None);
     }
 
     #[test]
@@ -242,13 +215,10 @@ mod tests {
         let mut g = chain(3);
         g.add_edge(1, 1);
         assert!(g.is_acyclic());
-        // Vertex 1 still delegates onward to 2.
-        assert_eq!(g.resolve_to_sink(0), Some(2));
         // A vertex with only a self-loop is a sink.
         let mut h = DiGraph::new(2);
         h.add_edge(0, 0);
         assert_eq!(h.sinks(), vec![0, 1]);
-        assert_eq!(h.resolve_to_sink(0), Some(0));
     }
 
     #[test]
@@ -261,9 +231,6 @@ mod tests {
         assert_eq!(g.sinks(), vec![0]);
         assert_eq!(g.in_degrees(), vec![4, 0, 0, 0, 0]);
         assert_eq!(g.longest_path_len(), 1);
-        for leaf in 1..5 {
-            assert_eq!(g.resolve_to_sink(leaf), Some(0));
-        }
     }
 
     #[test]

@@ -6,6 +6,8 @@ use crate::{Graph, GraphBuilder};
 ///
 /// This is the paper's restriction `K_n` (§2.1) under which Algorithm 1 and
 /// Theorem 2 are proved, and the topology assumed by Halpern et al. \[21\].
+/// It stores no edge list: adjacency is answered arithmetically, so
+/// building it is `O(1)` at any `n`.
 ///
 /// # Examples
 ///
@@ -15,13 +17,7 @@ use crate::{Graph, GraphBuilder};
 /// assert!(g.degrees().all(|d| d == 5));
 /// ```
 pub fn complete(n: usize) -> Graph {
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_mul(n.saturating_sub(1)) / 2);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            b.add_edge(u, v).expect("complete-graph edges are valid");
-        }
-    }
-    b.build()
+    Graph::complete(n)
 }
 
 /// The star `K_{1, n-1}` with the hub at vertex `n - 1`.

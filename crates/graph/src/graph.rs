@@ -8,8 +8,12 @@ pub type Edge = (usize, usize);
 /// A compact undirected simple graph on vertices `0..n`.
 ///
 /// Adjacency lists are stored sorted, giving `O(log deg)` edge queries and
-/// cache-friendly neighbour iteration. The graph is immutable once built;
-/// use [`GraphBuilder`] (or [`Graph::from_edges`]) to construct one.
+/// cache-friendly neighbour iteration. The complete graph `K_n` stores no
+/// lists at all: its rows are every other vertex in index order, so every
+/// query answers arithmetically in `O(1)` memory. The graph is immutable
+/// once built; use [`GraphBuilder`] (or [`Graph::from_edges`]) to
+/// construct one. Every way of building a graph that has all `n(n − 1)/2`
+/// edges yields the implicit form, so `==` is structural equality.
 ///
 /// In the liquid-democracy model a [`Graph`] is the social network `(V, E)`:
 /// an edge means the two voters are aware of each other and may delegate to
@@ -26,14 +30,26 @@ pub type Edge = (usize, usize);
 /// assert!(g.has_edge(1, 2));
 /// assert!(!g.has_edge(0, 3));
 /// assert_eq!(g.neighbors(1).collect::<Vec<_>>(), vec![0, 2]);
+/// assert_eq!(g.nth_neighbor(1, 1), 2);
 /// # Ok::<(), ld_graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
-    /// CSR-style offsets into `adj`; `offsets.len() == n + 1`.
-    offsets: Vec<usize>,
-    /// Concatenated sorted adjacency lists.
-    adj: Vec<usize>,
+    n: usize,
+    adjacency: Adjacency,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Adjacency {
+    /// `K_n`: row `v` is `0..n` without `v`.
+    Complete,
+    /// Any graph missing at least one edge.
+    Listed {
+        /// CSR-style offsets into `adj`; `offsets.len() == n + 1`.
+        offsets: Vec<usize>,
+        /// Concatenated sorted adjacency lists.
+        adj: Vec<usize>,
+    },
 }
 
 impl Graph {
@@ -47,9 +63,28 @@ impl Graph {
     /// assert_eq!(g.m(), 0);
     /// ```
     pub fn empty(n: usize) -> Self {
+        Graph::listed(vec![0; n + 1], Vec::new())
+    }
+
+    /// The complete graph `K_n`, with no adjacency arena.
+    pub(crate) fn complete(n: usize) -> Self {
         Graph {
-            offsets: vec![0; n + 1],
-            adj: Vec::new(),
+            n,
+            adjacency: Adjacency::Complete,
+        }
+    }
+
+    /// The graph with the given sorted CSR rows, or `K_n` when the rows
+    /// hold every edge (for `n ≤ 1` that is the empty row set).
+    fn listed(offsets: Vec<usize>, adj: Vec<usize>) -> Self {
+        let n = offsets.len() - 1;
+        if adj.len() == n * n.saturating_sub(1) {
+            Graph::complete(n)
+        } else {
+            Graph {
+                n,
+                adjacency: Adjacency::Listed { offsets, adj },
+            }
         }
     }
 
@@ -73,13 +108,17 @@ impl Graph {
     }
 
     /// Number of vertices.
+    #[inline]
     pub fn n(&self) -> usize {
-        self.offsets.len() - 1
+        self.n
     }
 
     /// Number of undirected edges.
     pub fn m(&self) -> usize {
-        self.adj.len() / 2
+        match &self.adjacency {
+            Adjacency::Complete => self.n * self.n.saturating_sub(1) / 2,
+            Adjacency::Listed { adj, .. } => adj.len() / 2,
+        }
     }
 
     /// Degree of vertex `v`.
@@ -87,8 +126,15 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `v >= self.n()`.
+    #[inline]
     pub fn degree(&self, v: usize) -> usize {
-        self.offsets[v + 1] - self.offsets[v]
+        match &self.adjacency {
+            Adjacency::Complete => {
+                assert!(v < self.n, "vertex {v} out of range for n = {}", self.n);
+                self.n - 1
+            }
+            Adjacency::Listed { offsets, .. } => offsets[v + 1] - offsets[v],
+        }
     }
 
     /// Iterator over the degrees of all vertices, in vertex order.
@@ -98,13 +144,22 @@ impl Graph {
 
     /// Whether the undirected edge `{u, v}` is present.
     ///
-    /// Runs in `O(log deg(u))`.
+    /// Runs in `O(log deg(u))`, and in `O(1)` on `K_n`.
     ///
     /// # Panics
     ///
     /// Panics if `u >= self.n()`.
+    #[inline]
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.neighbor_slice(u).binary_search(&v).is_ok()
+        match &self.adjacency {
+            Adjacency::Complete => {
+                assert!(u < self.n, "vertex {u} out of range for n = {}", self.n);
+                v != u && v < self.n
+            }
+            Adjacency::Listed { offsets, adj } => {
+                adj[offsets[u]..offsets[u + 1]].binary_search(&v).is_ok()
+            }
+        }
     }
 
     /// Iterator over the neighbours of `v`, in increasing order.
@@ -112,19 +167,86 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `v >= self.n()`.
+    #[inline]
     pub fn neighbors(&self, v: usize) -> Neighbors<'_> {
-        Neighbors {
-            inner: self.neighbor_slice(v).iter(),
+        let inner = match &self.adjacency {
+            Adjacency::Complete => NeighborsInner::Complete {
+                rows: 0..self.degree(v),
+                skip: v,
+            },
+            Adjacency::Listed { offsets, adj } => {
+                NeighborsInner::Listed(adj[offsets[v]..offsets[v + 1]].iter())
+            }
+        };
+        Neighbors { inner }
+    }
+
+    /// The neighbour at position `k` of `v`'s sorted row, i.e.
+    /// `neighbors(v).nth(k)`, in `O(1)`. On `K_n` it reads no memory:
+    /// the row is `0..n` without `v`, so it is `k + (k ≥ v)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= self.n()` or `k >= self.degree(v)`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let g = ld_graph::generators::complete(5);
+    /// assert_eq!(g.nth_neighbor(2, 1), 1);
+    /// assert_eq!(g.nth_neighbor(2, 2), 3);
+    /// ```
+    #[inline]
+    pub fn nth_neighbor(&self, v: usize, k: usize) -> usize {
+        match &self.adjacency {
+            Adjacency::Complete => {
+                assert!(
+                    v < self.n && k < self.n - 1,
+                    "row position {k} out of range for vertex {v} of K_{}",
+                    self.n
+                );
+                k + usize::from(k >= v)
+            }
+            Adjacency::Listed { offsets, adj } => adj[offsets[v]..offsets[v + 1]][k],
         }
     }
 
-    /// The neighbours of `v` as a sorted slice.
+    /// The number of leading neighbours of `v`, in increasing order, that
+    /// satisfy `pred`, as [`slice::partition_point`] on `v`'s sorted row:
+    /// `pred` must hold on a prefix of the row and fail on the rest. The
+    /// neighbours that fail it are `nth_neighbor(v, k)` for `k` from the
+    /// result up to `degree(v)`. Takes `O(log deg(v))` calls of `pred`.
     ///
     /// # Panics
     ///
     /// Panics if `v >= self.n()`.
-    pub fn neighbor_slice(&self, v: usize) -> &[usize] {
-        &self.adj[self.offsets[v]..self.offsets[v + 1]]
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let g = ld_graph::generators::complete(6);
+    /// // Row 2 is [0, 1, 3, 4, 5]; three of its entries are below 4.
+    /// assert_eq!(g.partition_neighbors(2, |u| u < 4), 3);
+    /// ```
+    #[inline]
+    pub fn partition_neighbors(&self, v: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
+        match &self.adjacency {
+            Adjacency::Complete => {
+                let (mut lo, mut hi) = (0, self.degree(v));
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if pred(mid + usize::from(mid >= v)) {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                lo
+            }
+            Adjacency::Listed { offsets, adj } => {
+                adj[offsets[v]..offsets[v + 1]].partition_point(|&u| pred(u))
+            }
+        }
     }
 
     /// Iterator over all undirected edges `(u, v)` with `u < v`.
@@ -138,9 +260,7 @@ impl Graph {
     /// ```
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         (0..self.n()).flat_map(move |u| {
-            self.neighbor_slice(u)
-                .iter()
-                .copied()
+            self.neighbors(u)
                 .filter(move |&v| u < v)
                 .map(move |v| (u, v))
         })
@@ -148,7 +268,7 @@ impl Graph {
 
     /// Whether the graph has no edges.
     pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
+        self.m() == 0
     }
 
     /// The subgraph induced by `vertices`: vertex `i` of the result is
@@ -189,6 +309,9 @@ impl Graph {
                 selected.push(v);
             }
         }
+        if matches!(self.adjacency, Adjacency::Complete) {
+            return Ok(Graph::complete(selected.len()));
+        }
         let mut b = GraphBuilder::new(selected.len());
         for (new_u, &old_u) in selected.iter().enumerate() {
             for old_v in self.neighbors(old_u) {
@@ -212,18 +335,36 @@ impl Default for Graph {
 /// Iterator over the neighbours of a vertex. Created by [`Graph::neighbors`].
 #[derive(Debug, Clone)]
 pub struct Neighbors<'a> {
-    inner: std::slice::Iter<'a, usize>,
+    inner: NeighborsInner<'a>,
+}
+
+#[derive(Debug, Clone)]
+enum NeighborsInner<'a> {
+    Complete {
+        rows: std::ops::Range<usize>,
+        skip: usize,
+    },
+    Listed(std::slice::Iter<'a, usize>),
 }
 
 impl Iterator for Neighbors<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
-        self.inner.next().copied()
+        match &mut self.inner {
+            NeighborsInner::Complete { rows, skip } => {
+                rows.next().map(|k| k + usize::from(k >= *skip))
+            }
+            NeighborsInner::Listed(it) => it.next().copied(),
+        }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
+        match &self.inner {
+            NeighborsInner::Complete { rows, .. } => rows.size_hint(),
+            NeighborsInner::Listed(it) => it.size_hint(),
+        }
     }
 }
 
@@ -369,7 +510,7 @@ impl GraphBuilder {
         for v in 0..n {
             adj[offsets[v]..offsets[v + 1]].sort_unstable();
         }
-        Ok(Graph { offsets, adj })
+        Ok(Graph::listed(offsets, adj))
     }
 }
 
@@ -400,8 +541,9 @@ mod tests {
     fn from_edges_builds_sorted_adjacency() {
         let g = Graph::from_edges(5, [(3, 1), (0, 4), (1, 0), (2, 1)]).unwrap();
         assert_eq!(g.m(), 4);
-        assert_eq!(g.neighbor_slice(1), &[0, 2, 3]);
-        assert_eq!(g.neighbor_slice(0), &[1, 4]);
+        assert_eq!(g.neighbors(1).collect::<Vec<_>>(), [0, 2, 3]);
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), [1, 4]);
+        assert_eq!(g.nth_neighbor(1, 2), 3);
         assert!(g.has_edge(4, 0));
         assert!(!g.has_edge(4, 1));
     }
@@ -480,6 +622,151 @@ mod tests {
         // Full selection reproduces the graph up to relabelling.
         let full = g.induced_subgraph(&[0, 1, 2, 3]).unwrap();
         assert_eq!(full, g);
+    }
+
+    /// `K_n` with every row stored, as the builder laid it out before
+    /// complete graphs became implicit.
+    fn listed_complete(n: usize) -> Graph {
+        let offsets = (0..=n).map(|v| v * n.saturating_sub(1)).collect();
+        let adj = (0..n)
+            .flat_map(|v| (0..n).filter(move |&u| u != v))
+            .collect();
+        Graph {
+            n,
+            adjacency: Adjacency::Listed { offsets, adj },
+        }
+    }
+
+    #[test]
+    fn implicit_complete_agrees_with_listed_rows() {
+        use crate::{generators, properties, traversal};
+        for n in 0..=12usize {
+            let implicit = generators::complete(n);
+            let listed = listed_complete(n);
+            assert!(matches!(implicit.adjacency, Adjacency::Complete));
+            assert_eq!(implicit.n(), listed.n());
+            assert_eq!(implicit.m(), listed.m(), "n = {n}");
+            assert_eq!(implicit.is_empty(), listed.is_empty());
+            assert!(implicit.degrees().eq(listed.degrees()));
+            assert!(implicit.edges().eq(listed.edges()), "n = {n}");
+            for v in 0..n {
+                assert_eq!(implicit.degree(v), listed.degree(v));
+                let row: Vec<usize> = listed.neighbors(v).collect();
+                assert!(implicit.neighbors(v).eq(row.iter().copied()), "row {v}");
+                assert_eq!(implicit.neighbors(v).len(), row.len());
+                for (k, &u) in row.iter().enumerate() {
+                    assert_eq!(implicit.nth_neighbor(v, k), u, "row {v}, position {k}");
+                    assert_eq!(listed.nth_neighbor(v, k), u);
+                }
+                for cut in 0..=n {
+                    assert_eq!(
+                        implicit.partition_neighbors(v, |u| u < cut),
+                        listed.partition_neighbors(v, |u| u < cut),
+                        "row {v}, cut {cut}"
+                    );
+                }
+                for u in 0..n + 2 {
+                    assert_eq!(
+                        implicit.has_edge(v, u),
+                        listed.has_edge(v, u),
+                        "{{{v}, {u}}}"
+                    );
+                }
+                assert_eq!(
+                    traversal::bfs_order(&implicit, v),
+                    traversal::bfs_order(&listed, v)
+                );
+                assert_eq!(
+                    traversal::bfs_distances(&implicit, v),
+                    traversal::bfs_distances(&listed, v)
+                );
+            }
+            assert_eq!(
+                traversal::components(&implicit),
+                traversal::components(&listed)
+            );
+            assert_eq!(
+                traversal::component_count(&implicit),
+                traversal::component_count(&listed)
+            );
+            assert_eq!(
+                traversal::is_connected(&implicit),
+                traversal::is_connected(&listed)
+            );
+            assert_eq!(
+                properties::max_degree(&implicit),
+                properties::max_degree(&listed)
+            );
+            assert_eq!(
+                properties::min_degree(&implicit),
+                properties::min_degree(&listed)
+            );
+            assert_eq!(
+                properties::regularity(&implicit),
+                properties::regularity(&listed)
+            );
+            assert!(properties::is_complete(&implicit) && properties::is_complete(&listed));
+            assert_eq!(
+                properties::average_degree(&implicit).to_bits(),
+                properties::average_degree(&listed).to_bits()
+            );
+            assert_eq!(
+                properties::structural_asymmetry(&implicit).to_bits(),
+                properties::structural_asymmetry(&listed).to_bits()
+            );
+            assert_eq!(
+                properties::diameter(&implicit),
+                properties::diameter(&listed)
+            );
+            // Induced subgraphs: prefixes, a strided pick with duplicates,
+            // and out-of-range selections.
+            let strided: Vec<usize> = (0..n).step_by(3).chain((0..n).step_by(2)).collect();
+            for sel in (0..=n).map(|k| (0..k).collect::<Vec<_>>()).chain([strided]) {
+                let a = implicit.induced_subgraph(&sel).unwrap();
+                let b = listed.induced_subgraph(&sel).unwrap();
+                assert_eq!(a, b, "n = {n}, selection {sel:?}");
+                assert!(matches!(a.adjacency, Adjacency::Complete));
+            }
+            assert_eq!(
+                implicit.induced_subgraph(&[n]),
+                listed.induced_subgraph(&[n])
+            );
+        }
+    }
+
+    #[test]
+    fn every_edge_builds_the_implicit_complete_graph() {
+        for n in 0..=12usize {
+            let mut pairs: Vec<Edge> = (0..n)
+                .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+                .collect();
+            // Any order and orientation: reverse, then flip every other pair.
+            pairs.reverse();
+            let mut b = GraphBuilder::new(n);
+            for (i, &(u, v)) in pairs.iter().enumerate() {
+                let (a, c) = if i % 2 == 0 { (v, u) } else { (u, v) };
+                b.add_edge(a, c).unwrap();
+            }
+            let built = b.build();
+            assert_eq!(built, crate::generators::complete(n), "n = {n}");
+            assert_eq!(Graph::from_edges(n, pairs.clone()).unwrap(), built);
+            // One edge short stays listed, and differs.
+            if let Some((&first, rest)) = pairs.split_first() {
+                let short = Graph::from_edges(n, rest.iter().copied()).unwrap();
+                assert!(matches!(short.adjacency, Adjacency::Listed { .. }));
+                assert_ne!(short, built);
+                assert!(!short.has_edge(first.0, first.1));
+            }
+        }
+        assert_eq!(Graph::empty(0), crate::generators::complete(0));
+        assert_eq!(Graph::empty(1), crate::generators::complete(1));
+        assert_ne!(Graph::empty(2), crate::generators::complete(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn implicit_row_position_is_bounds_checked() {
+        crate::generators::complete(4).nth_neighbor(0, 3);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! Possible? On the Manipulation of Variance*, PODC 2025) is defined over:
 //!
 //! * [`Graph`] — a compact undirected simple graph with sorted adjacency
-//!   lists, used to represent the social network of voters `(V, E)`.
+//!   lists, used to represent the social network of voters `(V, E)`. The
+//!   complete graph `K_n` keeps no lists and answers adjacency
+//!   arithmetically.
 //! * [`DiGraph`] — a directed graph used for *delegation graphs* (the output
 //!   of a delegation mechanism), with sink detection, cycle detection,
 //!   topological ordering and longest-path computation (the paper's
@@ -16,8 +18,8 @@
 //!   of Figure 1) plus the social-network models named in the paper's
 //!   discussion section (Barabási–Albert, Watts–Strogatz) and deterministic
 //!   baselines (ring, path, grid, circulant, Erdős–Rényi).
-//! * [`properties`] — structural measurements: degree extrema and
-//!   histograms, connectivity, regularity, and the structural-asymmetry
+//! * [`properties`] — structural measurements: degree extrema,
+//!   connectivity, regularity, and the structural-asymmetry
 //!   index that Section 6 of the paper identifies as the quantity governing
 //!   the feasibility of liquid democracy.
 //! * [`traversal`] — BFS/DFS, connected components and related utilities.
@@ -47,7 +49,6 @@ mod error;
 mod graph;
 
 pub mod generators;
-pub mod io;
 pub mod properties;
 pub mod traversal;
 

@@ -29,8 +29,9 @@ pub fn regularity(g: &Graph) -> Option<usize> {
 
 /// Whether the graph is the complete graph `K_n`.
 pub fn is_complete(g: &Graph) -> bool {
+    // A simple graph with every one of the n(n − 1)/2 possible edges.
     let n = g.n();
-    g.m() == n * n.saturating_sub(1) / 2 && g.degrees().all(|d| d == n - 1) || n <= 1
+    g.m() == n * n.saturating_sub(1) / 2
 }
 
 /// Average degree `2m / n`; 0 for the empty vertex set.
@@ -56,21 +57,6 @@ pub fn structural_asymmetry(g: &Graph) -> f64 {
     }
 }
 
-/// Histogram of degrees: `hist[d]` = number of vertices with degree `d`.
-/// The vector has length `Δ + 1` (empty for a graph without vertices).
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    match max_degree(g) {
-        None => Vec::new(),
-        Some(dmax) => {
-            let mut hist = vec![0usize; dmax + 1];
-            for d in g.degrees() {
-                hist[d] += 1;
-            }
-            hist
-        }
-    }
-}
-
 /// Whether the graph is connected (see [`traversal::is_connected`]).
 pub fn is_connected(g: &Graph) -> bool {
     traversal::is_connected(g)
@@ -92,60 +78,6 @@ pub fn diameter(g: &Graph) -> Option<usize> {
         }
     }
     Some(best)
-}
-
-/// The average shortest-path length over all ordered vertex pairs.
-///
-/// Returns `None` for disconnected graphs or graphs with fewer than two
-/// vertices. `O(n·m)`. Together with the clustering structure this is
-/// what makes Watts–Strogatz graphs "small worlds".
-pub fn average_path_length(g: &Graph) -> Option<f64> {
-    if g.n() < 2 || !traversal::is_connected(g) {
-        return None;
-    }
-    let mut total = 0usize;
-    for v in 0..g.n() {
-        total += traversal::bfs_distances(g, v)
-            .into_iter()
-            .flatten()
-            .sum::<usize>();
-    }
-    Some(total as f64 / (g.n() * (g.n() - 1)) as f64)
-}
-
-/// Degree assortativity (Pearson correlation of degrees across edges).
-///
-/// Returns `None` when undefined (no edges, or zero degree variance across
-/// edge endpoints, e.g. regular graphs).
-pub fn degree_assortativity(g: &Graph) -> Option<f64> {
-    if g.m() == 0 {
-        return None;
-    }
-    // Pearson correlation over the 2m ordered endpoint pairs.
-    let mut sx = 0.0f64;
-    let mut sy = 0.0f64;
-    let mut sxx = 0.0f64;
-    let mut syy = 0.0f64;
-    let mut sxy = 0.0f64;
-    let mut cnt = 0.0f64;
-    for (u, v) in g.edges() {
-        let (du, dv) = (g.degree(u) as f64, g.degree(v) as f64);
-        for (x, y) in [(du, dv), (dv, du)] {
-            sx += x;
-            sy += y;
-            sxx += x * x;
-            syy += y * y;
-            sxy += x * y;
-            cnt += 1.0;
-        }
-    }
-    let cov = sxy / cnt - (sx / cnt) * (sy / cnt);
-    let vx = sxx / cnt - (sx / cnt) * (sx / cnt);
-    let vy = syy / cnt - (sy / cnt) * (sy / cnt);
-    if vx <= 1e-12 || vy <= 1e-12 {
-        return None;
-    }
-    Some(cov / (vx * vy).sqrt())
 }
 
 #[cfg(test)]
@@ -183,14 +115,6 @@ mod tests {
         assert_eq!(regularity(&g), None);
     }
 
-    #[test]
-    fn degree_histogram_shapes() {
-        let g = generators::star(5); // degrees: 1,1,1,1,4
-        assert_eq!(degree_histogram(&g), vec![0, 4, 0, 0, 1]);
-        assert_eq!(degree_histogram(&Graph::empty(0)), Vec::<usize>::new());
-        assert_eq!(degree_histogram(&Graph::empty(3)), vec![3]);
-    }
-
     use crate::Graph;
 
     #[test]
@@ -208,42 +132,6 @@ mod tests {
         assert_eq!(diameter(&generators::star(9)), Some(2));
         assert_eq!(diameter(&Graph::empty(1)), None);
         assert_eq!(diameter(&Graph::empty(3)), None); // disconnected
-    }
-
-    #[test]
-    fn average_path_length_of_known_graphs() {
-        assert_eq!(average_path_length(&generators::complete(5)), Some(1.0));
-        // Star on n vertices: hub↔leaf = 1 (2(n-1) ordered pairs),
-        // leaf↔leaf = 2 ((n-1)(n-2) ordered pairs).
-        let n = 9.0;
-        let want = (2.0 * (n - 1.0) + 2.0 * (n - 1.0) * (n - 2.0)) / (n * (n - 1.0));
-        let got = average_path_length(&generators::star(9)).unwrap();
-        assert!((got - want).abs() < 1e-12);
-        assert_eq!(average_path_length(&Graph::empty(4)), None);
-    }
-
-    #[test]
-    fn small_world_rewiring_shortens_paths() {
-        let mut rng = ld_prob::rng::StdRng::seed_from_u64(5);
-        let lattice = generators::watts_strogatz(100, 6, 0.0, &mut rng).unwrap();
-        let rewired = generators::watts_strogatz(100, 6, 0.3, &mut rng).unwrap();
-        let l0 = average_path_length(&lattice).unwrap();
-        if let Some(l1) = average_path_length(&rewired) {
-            assert!(l1 < l0, "rewiring should shorten paths: {l0} vs {l1}");
-        }
-    }
-
-    #[test]
-    fn assortativity_of_star_is_negative() {
-        let g = generators::star(20);
-        let r = degree_assortativity(&g).unwrap();
-        assert!(r < -0.9, "star assortativity {r} should be ≈ -1");
-    }
-
-    #[test]
-    fn assortativity_undefined_on_regular_graphs() {
-        assert_eq!(degree_assortativity(&generators::cycle(8)), None);
-        assert_eq!(degree_assortativity(&Graph::empty(4)), None);
     }
 
     #[test]

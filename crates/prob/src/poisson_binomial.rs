@@ -14,6 +14,7 @@
 //! magnitude slower on common hardware.
 
 use crate::error::{check_probability, ProbError, Result};
+use std::ops::Range;
 
 /// The exact distribution of `Σ Bernoulli(p_i)` (the Poisson-binomial
 /// distribution).
@@ -184,6 +185,24 @@ impl WeightedBernoulliSum {
     /// Computes the exact distribution by DP over total weight in
     /// `O(k · W)` where `k` is the number of terms and `W = Σ w_i`.
     ///
+    /// Term `(w, p)` maps the pmf `cur` reached so far to
+    /// `next[t] = cur[t]·(1 − p) + cur[t − w]·p`, out of place into a
+    /// second buffer, and the buffers swap. Where only one side exists
+    /// (`t < w`) that product is stored as is, and a missing `cur[t]`
+    /// (past the support) is 0, which adds nothing. So every entry is the
+    /// same product, or the same sum of the same two products, that an
+    /// in-place pass adding `mass·p` onto the scaled `pmf[t + w]`
+    /// computes: the pmf is identical bit for bit, subnormals included.
+    ///
+    /// Two bands of `cur` are tracked: outside its nonzero support the
+    /// result is 0 with no arithmetic, and where both inputs are below
+    /// `f64::MIN_POSITIVE` the entry is computed exactly in integers
+    /// (see [`SubnormalScale`]), because subnormal floating-point
+    /// arithmetic is an order of magnitude slower on common hardware and
+    /// long sums keep thousands of subnormal entries in their tails. The
+    /// rest are branch-free zips over disjoint slices, which the compiler
+    /// vectorises at the baseline target.
+    ///
     /// Terms with zero weight are permitted and contribute nothing.
     ///
     /// # Errors
@@ -196,21 +215,66 @@ impl WeightedBernoulliSum {
         }
         let total: usize = terms.iter().map(|&(w, _)| w).sum();
         let mut pmf = vec![0.0f64; total + 1];
+        let mut next = vec![0.0f64; total + 1];
         pmf[0] = 1.0;
-        let mut reached = 0usize;
+        // `pmf[len..]` is zero; so is `pmf` outside `zl..=zh`, and it is
+        // below `f64::MIN_POSITIVE` outside `lo..=hi`, which is never
+        // empty because the mass is ~1.
+        let (mut len, mut zl, mut zh, mut lo, mut hi) = (1usize, 0usize, 0usize, 0usize, 0usize);
         for &(w, p) in terms {
             if w == 0 {
                 continue;
             }
-            for t in (0..=reached).rev() {
-                let mass = pmf[t];
-                if mass == 0.0 {
-                    continue;
+            let q = 1.0 - p;
+            let (cur, out) = (&pmf[..], &mut next[..len + w]);
+            // The stale buffer may hold mass anywhere below `len`.
+            out[..zl].fill(0.0);
+            out[zh + w + 1..].fill(0.0);
+            // Entries with a normal input: `lo..=hi` and `lo + w..=hi + w`.
+            let fast = |out: &mut [f64], range: Range<usize>| {
+                let split = range.end.min(w).max(range.start);
+                for (o, &c) in out[range.start..split].iter_mut().zip(&cur[range.start..]) {
+                    *o = c * q;
                 }
-                pmf[t] = mass * (1.0 - p);
-                pmf[t + w] += mass * p;
+                if split < range.end {
+                    let both = out[split..range.end].iter_mut().zip(&cur[split..]);
+                    for ((o, &c), &b) in both.zip(&cur[split - w..]) {
+                        *o = c * q + b * p;
+                    }
+                }
+            };
+            let (by_q, by_p) = (SubnormalScale::new(q), SubnormalScale::new(p));
+            let exact = |out: &mut [f64], range: Range<usize>| {
+                for (t, o) in range.clone().zip(&mut out[range]) {
+                    let below = if t >= w { cur[t - w] } else { 0.0 };
+                    *o = f64::from_bits(by_q.apply(cur[t]) + by_p.apply(below));
+                }
+            };
+            exact(out, zl..lo);
+            if lo + w <= hi + 1 {
+                fast(out, lo..hi + w + 1);
+            } else {
+                fast(out, lo..hi + 1);
+                exact(out, hi + 1..lo + w);
+                fast(out, lo + w..hi + w + 1);
             }
-            reached += w;
+            exact(out, hi + w + 1..zh + w + 1);
+            len += w;
+            zl += out[zl..].iter().position(|&v| v != 0.0).expect("mass ~1");
+            zh = out[..=zh + w]
+                .iter()
+                .rposition(|&v| v != 0.0)
+                .expect("mass ~1");
+            lo = zl
+                + out[zl..]
+                    .iter()
+                    .position(|&v| v >= f64::MIN_POSITIVE)
+                    .expect("mass ~1");
+            hi = out[..=zh]
+                .iter()
+                .rposition(|&v| v >= f64::MIN_POSITIVE)
+                .expect("mass ~1");
+            std::mem::swap(&mut pmf, &mut next);
         }
         let mean = terms.iter().map(|&(w, p)| w as f64 * p).sum();
         let variance = terms
@@ -274,6 +338,54 @@ impl WeightedBernoulliSum {
         } else {
             strict
         }
+    }
+}
+
+/// Multiplication by a fixed `y` in `[0, 1]` of values `x` below
+/// `f64::MIN_POSITIVE`, in integers: [`SubnormalScale::apply`] is the
+/// IEEE product `fl(x·y)` in units of the smallest subnormal `2^-1074`,
+/// with no subnormal floating-point operation.
+///
+/// `x = m·2^-1074` with the integer `m = x.to_bits() < 2^52`, and the
+/// product is below `2^-1022`, where doubles are spaced `2^-1074` apart,
+/// so `fl(x·y)` is `m·y` rounded to the nearest integer, ties to even.
+/// With `y = mant·2^-shift`, `m·mant` is exact in `u128`. Two such
+/// results sum to less than `2^53`, which is still exact and still a
+/// double's bit pattern, so `f64::from_bits(a + b)` is
+/// `fl(fl(x·q) + fl(x'·p))` bit for bit.
+#[derive(Debug, Clone, Copy)]
+struct SubnormalScale {
+    mant: u128,
+    shift: u32,
+}
+
+impl SubnormalScale {
+    fn new(y: f64) -> Self {
+        debug_assert!((0.0..=1.0).contains(&y));
+        let bits = y.to_bits();
+        // A normal y has 2^52 ≤ mant < 2^53 and shift ≥ 52 because
+        // y ≤ 1, so m·mant < 2^105: past a shift of 105 (or for a
+        // subnormal or zero y) every product is below half a unit.
+        let shift = 1075 - (bits >> 52) as u32;
+        if shift > 105 {
+            return SubnormalScale { mant: 0, shift: 1 };
+        }
+        let mant = (bits & ((1 << 52) - 1)) | 1 << 52;
+        SubnormalScale {
+            mant: u128::from(mant),
+            shift,
+        }
+    }
+
+    #[inline]
+    fn apply(self, x: f64) -> u64 {
+        let m = x.to_bits();
+        debug_assert!(m < 1 << 52);
+        let prod = u128::from(m) * self.mant;
+        // Round half to even: add just under half a unit, plus one more
+        // when the truncated quotient is odd.
+        let odd = (prod >> self.shift) & 1;
+        ((prod + (1 << (self.shift - 1)) - 1 + odd) >> self.shift) as u64
     }
 }
 
@@ -477,6 +589,116 @@ mod tests {
         assert_eq!(wb.strict_majority(2), 1.0);
         let wb2 = WeightedBernoulliSum::new(&[(1, 1.0), (1, 0.0)]).unwrap();
         assert_eq!(wb2.strict_majority(2), 0.0); // 1 vote is not > 1
+    }
+
+    /// The in-place scalar recurrence `WeightedBernoulliSum::new` used
+    /// before the out-of-place pass: every pinned exact tally was produced
+    /// by it.
+    fn in_place_reference(terms: &[(usize, f64)]) -> WeightedBernoulliSum {
+        let total: usize = terms.iter().map(|&(w, _)| w).sum();
+        let mut pmf = vec![0.0f64; total + 1];
+        pmf[0] = 1.0;
+        let mut reached = 0usize;
+        for &(w, p) in terms {
+            if w == 0 {
+                continue;
+            }
+            for t in (0..=reached).rev() {
+                let mass = pmf[t];
+                if mass == 0.0 {
+                    continue;
+                }
+                pmf[t] = mass * (1.0 - p);
+                pmf[t + w] += mass * p;
+            }
+            reached += w;
+        }
+        WeightedBernoulliSum {
+            pmf,
+            mean: 0.0,
+            variance: 0.0,
+        }
+    }
+
+    #[test]
+    fn weighted_pmf_is_bit_identical_to_the_in_place_recurrence() {
+        use crate::rng::{for_each_case, Rng};
+        let mut subnormal_entries = 0usize;
+        for_each_case("weighted_pmf_bit_identity", 256, |rng| {
+            // One case in eight is a long sum of light terms, whose pmf
+            // tails pass through the subnormal range on their way to 0.
+            let long = rng.gen_range(0u32..8) == 0;
+            let k = if long {
+                rng.gen_range(1100usize..=1600)
+            } else {
+                rng.gen_range(0usize..=40)
+            };
+            let terms: Vec<(usize, f64)> = (0..k)
+                .map(|_| {
+                    let w = match rng.gen_range(0u32..4) {
+                        _ if long => rng.gen_range(1usize..=2),
+                        0 => 0,
+                        1 => rng.gen_range(1usize..=3),
+                        _ => rng.gen_range(0usize..=64),
+                    };
+                    let p = match rng.gen_range(0u32..10) {
+                        _ if long && rng.gen_bool(0.9) => rng.gen_range(0.2..0.8),
+                        0 => 0.0,
+                        1 => 0.5,
+                        2 => 1.0,
+                        3 => rng.gen_range(0.0..1e-300),
+                        4 => 1.0 - rng.gen_range(0.0..1e-15),
+                        5 => 10f64.powi(-rng.gen_range(1i32..=320)),
+                        _ => rng.gen_range(0.0..1.0),
+                    };
+                    (w, p)
+                })
+                .collect();
+            let got = WeightedBernoulliSum::new(&terms).unwrap();
+            let want = in_place_reference(&terms);
+            assert_eq!(got.pmf.len(), want.pmf.len());
+            for (t, (a, b)) in got.pmf.iter().zip(&want.pmf).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "pmf[{t}] of {terms:?}");
+            }
+            subnormal_entries += want.pmf.iter().filter(|v| v.is_subnormal()).count();
+            let total = got.total_weight();
+            for votes in [total, total.saturating_sub(1)] {
+                for credit in [0.0, 0.5] {
+                    assert_eq!(
+                        got.majority_with_ties(votes, credit).to_bits(),
+                        want.majority_with_ties(votes, credit).to_bits(),
+                        "majority of {votes} at tie credit {credit}"
+                    );
+                }
+            }
+        });
+        assert!(
+            subnormal_entries > 1000,
+            "only {subnormal_entries} subnormal entries: the integer path went untested"
+        );
+    }
+
+    #[test]
+    fn subnormal_scale_is_the_ieee_product() {
+        use crate::rng::{for_each_case, Rng};
+        for_each_case("subnormal_scale_is_the_ieee_product", 64, |rng| {
+            // Just below 2^-52 = ε the product rounds to 0 or 1 unit.
+            let y = match rng.gen_range(0u32..7) {
+                0 => 0.0,
+                1 => 1.0,
+                2 => f64::from_bits(rng.gen_range(1u64..1 << 52)),
+                3 => 10f64.powi(-rng.gen_range(1i32..=40)),
+                4 => rng.gen_range(f64::EPSILON / 2.0..f64::EPSILON),
+                _ => rng.gen_range(0.0..1.0),
+            };
+            for _ in 0..256 {
+                let x = f64::from_bits(rng.gen_range(0u64..1 << 52));
+                let x2 = f64::from_bits(rng.gen_range(0u64..1 << 52));
+                let want = x * y + x2 * (1.0 - y);
+                let got = SubnormalScale::new(y).apply(x) + SubnormalScale::new(1.0 - y).apply(x2);
+                assert_eq!(got, want.to_bits(), "{x:e}·{y:e} + {x2:e}·(1 − {y:e})");
+            }
+        });
     }
 
     #[test]

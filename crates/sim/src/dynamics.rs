@@ -223,9 +223,7 @@ pub fn prepare_cell(cell: &DynCell, master: u64) -> Result<PreparedCell> {
     let profile = CompetencyProfile::linear(cell.n, 0.35, 0.7).map_err(|e| SimError::Config {
         reason: format!("cell {id}: {e}"),
     })?;
-    let neighbors = (0..cell.n)
-        .map(|i| graph.neighbor_slice(i).to_vec())
-        .collect();
+    let neighbors = (0..cell.n).map(|i| graph.neighbors(i).collect()).collect();
     let instance = ProblemInstance::new(graph, profile, ALPHA).map_err(|e| SimError::Config {
         reason: format!("cell {id}: {e}"),
     })?;

@@ -1087,7 +1087,7 @@ fn check_locality(case: &Case) -> CheckOutcome {
     for v in probes {
         let mut closed = vec![false; n];
         closed[v] = true;
-        for &u in inst.graph().neighbor_slice(v) {
+        for u in inst.graph().neighbors(v) {
             closed[u] = true;
         }
         // First vertex pair entirely outside v's closed neighbourhood;

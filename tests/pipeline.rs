@@ -2,6 +2,7 @@
 //! through the facade.
 
 use ld_prob::rng::StdRng;
+use liquid_democracy::core::delegation::Action;
 use liquid_democracy::core::distributions::CompetencyDistribution;
 use liquid_democracy::core::gain::estimate_gain;
 use liquid_democracy::core::mechanisms::{
@@ -53,6 +54,29 @@ fn complete_graph_pipeline_reproduces_theorem2_shape() -> TestResult {
         gains[2] > gains[0] - 0.05,
         "gain should not collapse with n: {gains:?}"
     );
+    Ok(())
+}
+
+#[test]
+fn algorithm1_draws_on_k_n_without_an_edge_list() -> TestResult {
+    // K_n keeps no edge list: at n = 2^17 one would take over 100 GB.
+    let n = 1usize << 17;
+    let graph = generators::complete(n);
+    assert_eq!(graph.m(), n * (n - 1) / 2);
+    // p_i = i/n and α = 1/16 are exact binary fractions, so voter i
+    // approves j exactly when j ≥ i + n/16, and J(i) is nonempty exactly
+    // for the 15n/16 voters i ≤ n − 1 − n/16.
+    let profile = CompetencyProfile::new((0..n).map(|i| i as f64 / n as f64).collect())?;
+    let inst = ProblemInstance::new(graph, profile, 1.0 / 16.0)?;
+    let dg = ApprovalThreshold::new(1).run(&inst, &mut StdRng::seed_from_u64(1));
+    assert_eq!(dg.delegator_count(), n - n / 16);
+    for (i, action) in dg.actions().iter().enumerate() {
+        match *action {
+            Action::Delegate(j) => assert!(j >= i + n / 16 && j < n, "{i} -> {j}"),
+            Action::Vote => assert!(i > n - 1 - n / 16, "voter {i} should delegate"),
+            ref other => panic!("voter {i}: unexpected {other:?}"),
+        }
+    }
     Ok(())
 }
 
