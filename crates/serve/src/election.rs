@@ -22,7 +22,13 @@
 //! in behind a briefly-held write lock. So every applied update is in
 //! the synced WAL before the epoch that covers it commits. Readers clone
 //! the `Arc` under the read lock and never touch the engine, so queries
-//! cost O(1) regardless of ingest pressure.
+//! cost O(1) regardless of ingest pressure, and a `flush` blocks only
+//! its own caller: a reader waits for the swap at most, never for the
+//! barrier.
+//!
+//! A durable-layer failure is sticky: the election keeps applying
+//! ingest but never publishes again, so it stops taking latency stamps
+//! it could never close.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -312,30 +318,9 @@ impl Election {
         identity: IdentityBackend,
         initial: EpochSnapshot,
     ) -> Result<Election, ServeError> {
-        let (applied, rejected, epoch) = (initial.applied, initial.rejected, initial.epoch);
-        let published = Arc::new(Published {
-            epoch: AtomicU64::new(epoch),
-            snap: RwLock::new(Arc::new(initial)),
-            enqueued: AtomicU64::new(0),
-            latency_ns: ld_obs::Histogram::default(),
-        });
         let (ingest_tx, ingest_rx) = mpsc::channel();
-        let sequencer = Sequencer {
-            window: cfg.window,
-            max_batch: cfg.max_batch.max(1),
-            publish_every: cfg.publish_every,
-            engine,
-            store,
-            epoch_log,
-            rx: ingest_rx,
-            published: Arc::clone(&published),
-            applied,
-            rejected,
-            stamps: Vec::new(),
-            windows: 0,
-            failure: None,
-            obs: SequencerObs::resolve(),
-        };
+        let sequencer = Sequencer::new(cfg, engine, store, epoch_log, ingest_rx, initial);
+        let published = Arc::clone(&sequencer.published);
         let handle = std::thread::Builder::new()
             .name("ld-serve-sequencer".to_string())
             .spawn(move || sequencer.run())
@@ -513,6 +498,8 @@ struct Sequencer {
     published: Arc<Published>,
     applied: u64,
     rejected: u64,
+    /// Ingest times of the updates applied since the last publish;
+    /// empty once the election has failed.
     stamps: Vec<Instant>,
     windows: u32,
     /// The first durable-layer failure; once set, no epoch publishes.
@@ -544,6 +531,40 @@ impl SequencerObs {
 }
 
 impl Sequencer {
+    /// A sequencer tuned by `cfg` that publishes `initial` as its first
+    /// snapshot and then serves `rx`.
+    fn new(
+        cfg: &ElectionConfig,
+        engine: LiveEngine,
+        store: Option<Store>,
+        epoch_log: Option<EpochLog>,
+        rx: Receiver<Msg>,
+        initial: EpochSnapshot,
+    ) -> Sequencer {
+        let (applied, rejected) = (initial.applied, initial.rejected);
+        Sequencer {
+            window: cfg.window,
+            max_batch: cfg.max_batch.max(1),
+            publish_every: cfg.publish_every,
+            engine,
+            store,
+            epoch_log,
+            rx,
+            published: Arc::new(Published {
+                epoch: AtomicU64::new(initial.epoch),
+                snap: RwLock::new(Arc::new(initial)),
+                enqueued: AtomicU64::new(0),
+                latency_ns: ld_obs::Histogram::default(),
+            }),
+            applied,
+            rejected,
+            stamps: Vec::new(),
+            windows: 0,
+            failure: None,
+            obs: SequencerObs::resolve(),
+        }
+    }
+
     /// Runs until ingest closes or a kill arrives; returns the sticky
     /// failure, if any.
     fn run(mut self) -> Option<String> {
@@ -607,8 +628,13 @@ impl Sequencer {
     fn apply_window(&mut self, buf: Vec<(Update, Instant)>) {
         self.obs.window_updates.record(buf.len() as u64);
         let mut accepted = Vec::with_capacity(buf.len());
+        // A failed election never publishes again, so nothing would
+        // close a latency stamp taken now.
+        let stamping = self.failure.is_none();
         for (update, at) in buf {
-            self.stamps.push(at);
+            if stamping {
+                self.stamps.push(at);
+            }
             if self.engine.apply(update).is_ok() {
                 accepted.push(update);
             } else {
@@ -647,6 +673,7 @@ impl Sequencer {
             Ok(c) => c,
             Err(message) => {
                 self.failure = Some(message.clone());
+                self.stamps.clear();
                 return Err(message);
             }
         };
@@ -695,5 +722,72 @@ impl Sequencer {
             .map_err(|e| format!("epoch commit: {e}"))?;
         }
         Ok((epoch, tally))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ld_store::FaultPlan;
+
+    fn engine(n: usize) -> LiveEngine {
+        LiveEngine::new(vec![Action::Vote; n], vec![0.5; n]).expect("engine")
+    }
+
+    /// A window of `len` always-accepted competence updates.
+    fn window(n: usize, len: usize) -> Vec<(Update, Instant)> {
+        (0..len)
+            .map(|k| {
+                let update = Update::Competence {
+                    voter: k % n,
+                    p: 0.75,
+                };
+                (update, Instant::now())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_failed_sequencer_keeps_no_latency_stamps() {
+        let n = 16;
+        let dir =
+            std::env::temp_dir().join(format!("ld-serve-failed-stamps-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let create_ops = Store::create(&dir.join("probe"), &engine(n), StoreOptions::default())
+            .expect("probe store")
+            .clock()
+            .ops();
+        // After creation, op `create_ops` is the first window's WAL
+        // append and the next one is the barrier's fsync.
+        let opts = StoreOptions {
+            fault: FaultPlan::fail_at(create_ops + 1),
+            ..StoreOptions::default()
+        };
+        let store = Store::create(&dir.join(STORE_DIR), &engine(n), opts).expect("store");
+        let initial = EpochSnapshot {
+            epoch: 0,
+            applied: 0,
+            rejected: 0,
+            tally: PublishedTally::of(&engine(n)),
+        };
+        let (_tx, rx) = mpsc::channel();
+        let cfg = ElectionConfig::new(n as u32);
+        let mut seq = Sequencer::new(&cfg, engine(n), Some(store), None, rx, initial);
+        seq.apply_window(window(n, 8));
+        assert_eq!(seq.stamps.len(), 8);
+        let failed = seq.barrier_and_publish();
+        assert!(
+            failed.as_ref().is_err_and(|e| e.contains("wal sync")),
+            "{failed:?}"
+        );
+        assert!(seq.stamps.is_empty(), "a failed barrier drops its stamps");
+        for _ in 0..4 {
+            seq.apply_window(window(n, 8));
+            assert!(seq.stamps.is_empty(), "a failed election stamps nothing");
+        }
+        assert!(seq.barrier_and_publish().is_err(), "the failure is sticky");
+        assert_eq!(seq.applied, 40, "ingest is still applied");
+        assert_eq!(seq.published.latency_ns.summary("ns").count, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

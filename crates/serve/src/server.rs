@@ -8,6 +8,10 @@
 //! and round-trips the response the same way, so every CLI smoke test
 //! exercises the real codec path.
 //!
+//! The host's map lock covers only the lookup: each request runs on a
+//! cloned `Arc<Election>` handle, so a `Flush` waiting out an epoch
+//! barrier never delays a `Query`, nor any request to another election.
+//!
 //! Shutdown is cooperative: the accept loop polls a stop flag (set by
 //! a `Shutdown` request or by SIGTERM via [`install_sigterm_flag`]),
 //! then drops the host — and dropping an [`Election`] *is* the
@@ -17,7 +21,7 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::election::{Election, ElectionConfig};
@@ -27,7 +31,7 @@ use crate::{IdentityError, ServeError};
 /// A transport-agnostic host for multiple named elections.
 #[derive(Debug, Default)]
 pub struct Host {
-    elections: Mutex<HashMap<u32, Election>>,
+    elections: Mutex<HashMap<u32, Arc<Election>>>,
 }
 
 impl Host {
@@ -49,7 +53,7 @@ impl Host {
         if map.contains_key(&id) {
             return Err(ServeError::Config(format!("election {id} already exists")));
         }
-        map.insert(id, election);
+        map.insert(id, Arc::new(election));
         Ok(())
     }
 
@@ -88,7 +92,7 @@ impl Host {
                         if map.contains_key(&election) {
                             return exists();
                         }
-                        map.insert(election, e);
+                        map.insert(election, Arc::new(e));
                         Response::Created { election }
                     }
                     Err(e) => Response::Error {
@@ -137,9 +141,16 @@ impl Host {
     }
 
     fn with_election(&self, id: u32, f: impl FnOnce(&Election) -> Response) -> Response {
-        let map = self.elections.lock().expect("elections lock");
-        match map.get(&id) {
-            Some(e) => f(e),
+        // The map lock is released before `f` runs: a Flush blocks for
+        // a whole barrier and must hold up no other request.
+        let election = self
+            .elections
+            .lock()
+            .expect("elections lock")
+            .get(&id)
+            .cloned();
+        match election {
+            Some(e) => f(&e),
             None => Response::Error {
                 code: error_code::NO_SUCH_ELECTION,
                 message: format!("no election {id}"),
@@ -147,16 +158,25 @@ impl Host {
         }
     }
 
-    /// Gracefully shuts down every hosted election, surfacing the
-    /// first failure.
+    /// Removes every hosted election and gracefully shuts down each one
+    /// no request still holds, surfacing the first failure. An election
+    /// whose handle an in-flight request still holds shuts down through
+    /// `Drop` when that request finishes, and its failure, if any, is
+    /// not reported here.
     ///
     /// # Errors
     ///
     /// The first [`ServeError`] any election reported.
     pub fn shutdown_all(&self) -> Result<(), ServeError> {
-        let mut map = self.elections.lock().expect("elections lock");
+        let drained: Vec<Arc<Election>> = self
+            .elections
+            .lock()
+            .expect("elections lock")
+            .drain()
+            .map(|(_, election)| election)
+            .collect();
         let mut first = None;
-        for (_, election) in map.drain() {
+        for election in drained.into_iter().filter_map(|e| Arc::try_unwrap(e).ok()) {
             if let Err(e) = election.shutdown() {
                 first.get_or_insert(e);
             }

@@ -4,13 +4,13 @@
 //! with WAL-backed recovery.
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ld_core::delegation::Action;
 use ld_core::tally::TieBreak;
 use ld_live::{LiveEngine, Update};
 use ld_serve::epochs::{EpochLog, EPOCHS_FILE};
-use ld_serve::{Election, ElectionConfig, ServeError};
+use ld_serve::{tally_digest, Election, ElectionConfig, Host, Request, Response, ServeError};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ld-serve-it-{name}-{}", std::process::id()));
@@ -328,4 +328,122 @@ fn a_wal_failure_is_sticky_and_surfaces_at_shutdown() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     assert!(failed > 0, "some fault landed after creation");
+}
+
+#[test]
+fn durable_round_trip_with_heavy_sinks_recovers_the_committed_digest() {
+    let n = 3000;
+    let dir = scratch("heavy-round-trip");
+    // Two heavy sinks (weight >= 256), many light ones, many zeros.
+    let mut updates: Vec<Update> = (2..n)
+        .map(|voter| Update::Delegate {
+            voter,
+            target: match voter % 10 {
+                0..=3 => 0,
+                4..=5 => 1,
+                _ => voter - voter % 10 + 6,
+            },
+        })
+        .collect();
+    updates.extend(stream(n, 2000, 0x4EA7));
+    let (engine, _) = oracle(n, &updates);
+    assert!(engine.weights().iter().any(|&w| w >= 256), "a heavy sink");
+
+    let mut cfg = ElectionConfig::new(n as u32);
+    cfg.publish_every = 0;
+    cfg.dir = Some(dir.clone());
+    let election = Election::create(&cfg).expect("create durable");
+    for &u in &updates {
+        election.submit(u).expect("submit");
+    }
+    let committed = election.flush().expect("flush");
+    assert_matches_engine(&committed, &engine, "flushed");
+    let weights: Vec<u64> = engine.weights().iter().map(|&w| w as u64).collect();
+    let (discarded, tallied) = (engine.discarded() as u64, engine.tallied() as u64);
+    assert_eq!(
+        committed.tally.digest,
+        tally_digest(&weights, discarded, tallied),
+        "digest"
+    );
+    election.kill();
+
+    let (revived, report) = Election::recover(&dir, &cfg).expect("recover without DigestMismatch");
+    assert_eq!(report.digest, committed.tally.digest);
+    assert_eq!(revived.snapshot().tally, committed.tally);
+    revived.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn query_is_answered_while_another_requests_flush_is_in_progress() {
+    let n = 100_000;
+    let dir = scratch("query-during-flush");
+    let mut cfg = ElectionConfig::new(n as u32);
+    cfg.publish_every = 0;
+    cfg.dir = Some(dir.clone());
+    let host = Host::new();
+    host.insert(1, Election::create(&cfg).expect("create durable"))
+        .expect("insert");
+    let submit = |update| {
+        let response = host.handle(&Request::Submit {
+            election: 1,
+            update,
+        });
+        assert_eq!(response, Response::Enqueued);
+    };
+    // A star: every voter but 1 carried by voter 0.
+    for voter in 2..n {
+        submit(Update::Delegate { voter, target: 0 });
+    }
+    let Response::Tally(star) = host.handle(&Request::Flush { election: 1 }) else {
+        panic!("flush answered no tally");
+    };
+    // A backlog the Flush below must wait out: each update moves the
+    // whole star between sinks 0 and 1, O(n) work apiece.
+    for _ in 0..100 {
+        submit(Update::Delegate {
+            voter: 0,
+            target: 1,
+        });
+        submit(Update::Vote { voter: 0 });
+    }
+    let (flushed, answered_inside) = std::thread::scope(|scope| {
+        let host = &host;
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let flusher = scope.spawn(move || {
+            started_tx.send(()).expect("signal");
+            let response = host.handle(&Request::Flush { election: 1 });
+            (response, Instant::now())
+        });
+        started_rx.recv().expect("flush started");
+        // Long enough for a host that ran requests under its map lock
+        // to be holding that lock for the Flush.
+        std::thread::sleep(Duration::from_millis(2));
+        let mut answers = Vec::new();
+        while !flusher.is_finished() {
+            let Response::Tally(t) = host.handle(&Request::Query { election: 1 }) else {
+                panic!("query answered no tally");
+            };
+            answers.push((t.epoch, Instant::now()));
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let (response, flush_done) = flusher.join().expect("flusher");
+        let Response::Tally(flushed) = response else {
+            panic!("flush answered no tally");
+        };
+        // Strictly inside: answered before the Flush returned, from the
+        // epoch before the one the Flush published.
+        let inside = answers
+            .iter()
+            .filter(|&&(epoch, at)| epoch == star.epoch && at < flush_done)
+            .count();
+        (flushed, inside)
+    });
+    assert_eq!(flushed.epoch, star.epoch + 1);
+    assert!(
+        answered_inside > 0,
+        "no Query was answered while the Flush was in progress"
+    );
+    host.shutdown_all().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
 }
