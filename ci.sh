@@ -22,9 +22,6 @@ cargo test -q
 echo "==> cargo test --workspace --release -q (every crate's unit, property and integration tests, incl. the teeth mutant table)"
 cargo test --workspace --release -q
 
-echo "==> ld-store without mmap (the std::fs::read fallback)"
-cargo test -q -p ld-store --no-default-features
-
 echo "==> large-n direct-voting DP differential (banded vs naive full-width DP, n = 16384)"
 cargo test --release -q -p ld-testkit --test direct_dp_differential -- --ignored
 

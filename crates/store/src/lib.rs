@@ -10,7 +10,7 @@
 //!   truncates at the last whole record after a crash.
 //! * [`snapshot`] — periodic compaction into a binary image of the
 //!   engine's resolved state (actions, competencies, depths, and the
-//!   `ld-core` CSR arena verbatim) that memory-maps back into
+//!   `ld-core` CSR arena verbatim) that reads back into
 //!   [`LiveEngine`](ld_live::LiveEngine) /
 //!   [`CsrForest`](ld_core::csr::CsrForest) through validated flat
 //!   passes — no JSON, no resolver rerun.
@@ -23,22 +23,23 @@
 //!   the crash matrix in `tests/crash_recovery.rs` and the
 //!   `wal-crash-oracle` conformance check stay exhaustive and
 //!   reproducible instead of flaky.
-//! * [`crc`] / [`mmap`] — the supporting pieces: a hand-rolled
-//!   IEEE CRC32 (the workspace depends on no external crate) and a
-//!   feature-gated read path (`mmap` on: libc `mmap(2)` FFI; off: a
-//!   dependency-free `std::fs::read` fallback with identical
-//!   semantics).
+//! * [`crc`] — a hand-rolled IEEE CRC32 (the workspace depends on no
+//!   external crate).
+//!
+//! Every read is plain `std` file I/O: a snapshot is read whole (its
+//! CRC covers every byte anyway), and the WAL is read from the
+//! snapshot's tail offset on, so recovery costs O(tail), not O(log).
 //!
 //! Driven from the CLI as `repro recover` / `repro store-bench`, and
 //! by `repro stress --wal <dir>` which tees the churn workload's
 //! accepted updates through a store so a `kill -9` mid-run is a
 //! recoverable event, not a lost one.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod crc;
 pub mod fault;
-pub mod mmap;
 pub mod snapshot;
 pub mod store;
 pub mod wal;

@@ -32,7 +32,6 @@
 
 use crate::crc::{crc32, Crc32};
 use crate::fault::{FaultClock, FaultFile};
-use crate::mmap::MappedBytes;
 use crate::StoreError;
 use ld_core::csr::{CsrForest, DISCARDED};
 use ld_core::delegation::Action;
@@ -200,11 +199,11 @@ pub fn write_snapshot(
     Ok(path)
 }
 
-/// An opened, fully-validated snapshot (mmap-backed under the `mmap`
-/// feature); sections are decoded on demand.
+/// An opened, fully-validated snapshot; sections are decoded on
+/// demand.
 #[derive(Debug)]
 pub struct Snapshot {
-    bytes: MappedBytes,
+    bytes: Vec<u8>,
     path: PathBuf,
     n: usize,
     applied: u64,
@@ -223,7 +222,7 @@ impl Snapshot {
     /// [`StoreError::Corrupt`] for any validation failure — including a
     /// half-written temp file that was never renamed.
     pub fn open(path: &Path) -> Result<Snapshot, StoreError> {
-        let bytes = MappedBytes::open(path).map_err(StoreError::io("open snapshot", path))?;
+        let bytes = std::fs::read(path).map_err(StoreError::io("open snapshot", path))?;
         let b = bytes.as_slice();
         let corrupt = |reason: String| StoreError::Corrupt {
             path: path.to_path_buf(),
@@ -310,13 +309,8 @@ impl Snapshot {
         &self.path
     }
 
-    /// Whether the backing bytes are memory-mapped.
-    pub fn is_mapped(&self) -> bool {
-        self.bytes.is_mapped()
-    }
-
     fn u32_section(&self, start: usize, count: usize) -> impl Iterator<Item = u32> + '_ {
-        let b = &self.bytes.as_slice()[start..start + 4 * count];
+        let b = &self.bytes[start..start + 4 * count];
         b.chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
     }
@@ -358,7 +352,7 @@ impl Snapshot {
 
     /// Decodes the competence vector (exact stored bit patterns).
     pub fn competences(&self) -> Vec<f64> {
-        let b = &self.bytes.as_slice()[self.competence_at()..self.competence_at() + 8 * self.n];
+        let b = &self.bytes[self.competence_at()..self.competence_at() + 8 * self.n];
         b.chunks_exact(8)
             .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
             .collect()
@@ -519,6 +513,9 @@ mod tests {
             std::fs::write(&cut_path, &good[..cut]).unwrap();
             assert!(Snapshot::open(&cut_path).is_err(), "cut at {cut}");
         }
+        std::fs::remove_file(&cut_path).unwrap();
+        let missing = Snapshot::open(&cut_path);
+        assert!(matches!(missing, Err(StoreError::Io { .. })), "{missing:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -37,7 +37,6 @@
 
 use crate::crc::crc32;
 use crate::fault::{FaultClock, FaultFile};
-use crate::mmap::MappedBytes;
 use crate::StoreError;
 use ld_live::codec::{self, CodecError};
 use ld_live::Update;
@@ -251,7 +250,7 @@ pub struct FileScan {
     pub header_torn: bool,
 }
 
-/// Reads and scans a WAL file (mmap-backed under the `mmap` feature).
+/// Reads and scans a WAL file.
 ///
 /// # Errors
 ///
@@ -270,8 +269,9 @@ pub fn read_wal(path: &Path) -> Result<FileScan, StoreError> {
 /// Both values come from a CRC-validated snapshot: compaction records
 /// the WAL byte length alongside the record count, and the snapshot's
 /// own checksum vouches for the state those records produced — so the
-/// covered prefix needs neither re-checksumming nor even reading, and
-/// snapshot recovery is O(tail) instead of O(log). Only the tail is
+/// covered prefix needs neither re-checksumming nor even reading: the
+/// file's header is read, then a seek to `tail_at` skips the prefix,
+/// and snapshot recovery is O(tail) instead of O(log). Only the tail is
 /// validated; a `tail_at` outside the file (a snapshot from a
 /// different or shorter log) yields an empty scan with `covered = 0`,
 /// which callers treat as "this snapshot is unusable" and fall back.
@@ -280,17 +280,22 @@ pub fn read_wal(path: &Path) -> Result<FileScan, StoreError> {
 ///
 /// As [`read_wal`].
 pub fn read_wal_tail(path: &Path, tail_at: u64, covered: u64) -> Result<FileScan, StoreError> {
-    let bytes = MappedBytes::open(path).map_err(StoreError::io("open wal", path))?;
-    let bytes = bytes.as_slice();
-    if bytes.len() < WAL_HEADER_LEN {
+    use std::io::{Read, Seek};
+    let ioerr = StoreError::io("open wal", path);
+    let mut file = File::open(path).map_err(&ioerr)?;
+    let file_len = file.metadata().map_err(&ioerr)?.len();
+    let mut header = [0u8; WAL_HEADER_LEN];
+    let have = file_len.min(WAL_HEADER_LEN as u64) as usize;
+    file.read_exact(&mut header[..have]).map_err(&ioerr)?;
+    if have < WAL_HEADER_LEN {
         return Ok(FileScan {
             scan: WalScan {
                 updates: Vec::new(),
                 valid_len: 0,
                 tail: TailStatus::Torn(TornTail {
                     at: 0,
-                    trailing: bytes.len(),
-                    reason: TornReason::TruncatedHeader { have: bytes.len() },
+                    trailing: have,
+                    reason: TornReason::TruncatedHeader { have },
                 }),
             },
             covered: 0,
@@ -298,13 +303,13 @@ pub fn read_wal_tail(path: &Path, tail_at: u64, covered: u64) -> Result<FileScan
             header_torn: true,
         });
     }
-    if bytes[..8] != WAL_MAGIC {
+    if header[..8] != WAL_MAGIC {
         return Err(StoreError::Corrupt {
             path: path.to_path_buf(),
             reason: "bad WAL magic".to_string(),
         });
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
     if version != WAL_VERSION {
         return Err(StoreError::Corrupt {
             path: path.to_path_buf(),
@@ -313,7 +318,7 @@ pub fn read_wal_tail(path: &Path, tail_at: u64, covered: u64) -> Result<FileScan
     }
     let in_range = usize::try_from(tail_at)
         .ok()
-        .filter(|&t| (WAL_HEADER_LEN..=bytes.len()).contains(&t));
+        .filter(|&t| t >= WAL_HEADER_LEN && tail_at <= file_len);
     let Some(tail_at) = in_range else {
         return Ok(FileScan {
             scan: WalScan {
@@ -326,7 +331,10 @@ pub fn read_wal_tail(path: &Path, tail_at: u64, covered: u64) -> Result<FileScan
             header_torn: false,
         });
     };
-    let mut scan = scan_records(&bytes[tail_at..]);
+    let mut tail = Vec::new();
+    file.seek(SeekFrom::Start(tail_at as u64)).map_err(&ioerr)?;
+    file.read_to_end(&mut tail).map_err(&ioerr)?;
+    let mut scan = scan_records(&tail);
     // Rebase scan offsets from the tail to the body start, so callers
     // see the same coordinates a full scan would report.
     let base = tail_at - WAL_HEADER_LEN;
@@ -699,6 +707,36 @@ mod tests {
         assert!(!rescan.header_torn);
         assert_eq!(rescan.scan.records(), 1);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn tail_reads_cover_empty_missing_and_out_of_range_files() {
+        let path = tmp("tail.wal");
+        std::fs::write(&path, b"").unwrap();
+        let empty = read_wal(&path).unwrap();
+        assert!(empty.header_torn && empty.scan.updates.is_empty());
+        let clock = FaultClock::new(FaultPlan::none());
+        let us = updates();
+        let mut w = WalWriter::create(&path, clock, 0).unwrap();
+        w.append_batch(&us[..2]).unwrap();
+        let tail_at = w.len_bytes();
+        w.append_batch(&us[2..]).unwrap();
+        let (end, records) = (w.len_bytes(), w.records());
+        drop(w);
+        let tail = read_wal_tail(&path, tail_at, 2).unwrap();
+        assert_eq!((tail.scan.updates.as_slice(), tail.covered), (&us[2..], 2));
+        assert_eq!(tail.file_valid_len, end);
+        assert_eq!(tail.scan.records() + tail.covered, records);
+        for outside in [0, WAL_HEADER_LEN as u64 - 1, end + 1, u64::MAX] {
+            let found = read_wal_tail(&path, outside, 2).unwrap();
+            assert!(found.scan.updates.is_empty() && found.scan.tail.is_clean());
+            assert_eq!(
+                (found.covered, found.file_valid_len),
+                (0, WAL_HEADER_LEN as u64)
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(read_wal(&path), Err(StoreError::Io { .. })));
     }
 
     #[test]
