@@ -156,8 +156,10 @@ pub struct CsrForest {
     sink_count: usize,
     /// Largest `n` ever resolved — the scratch-reuse high-water mark.
     cap_n: usize,
-    /// Chase stack (voters on the current delegation path).
-    stack: Vec<u32>,
+    /// Per-voter successor, written by the resolve's scan: the target
+    /// of a delegation, the voter itself for a direct vote (or a
+    /// self-delegation), [`DISCARDED`] for an abstention.
+    next: Vec<u32>,
     /// Per-voter chain depth in edges.
     depth: Vec<u32>,
     /// Sorted-weights buffer for [`CsrForest::weight_gini`].
@@ -177,7 +179,7 @@ impl CsrForest {
     pub fn with_capacity(n: usize) -> Self {
         CsrForest {
             arena: Vec::with_capacity(3 * n + 1),
-            stack: Vec::with_capacity(n),
+            next: Vec::with_capacity(n),
             depth: Vec::with_capacity(n),
             cap_n: n,
             ..CsrForest::default()
@@ -196,6 +198,17 @@ impl CsrForest {
     /// out-of-range targets in voter order, then cycles); self-delegation
     /// counts as voting, and chains into abstainers are discarded.
     ///
+    /// One scan over the actions checks them, counts the delegators and
+    /// turns each action into a `u32` successor; then an iterative chase
+    /// with path memoisation resolves every voter. The chase starts from voters in
+    /// *reverse* index order. No output depends on that order (each
+    /// voter's sink and depth are a function of the graph, and so is
+    /// every counter), but cost does: approval mechanisms only delegate
+    /// to more competent voters, who have higher indices, so by the time
+    /// a voter is chased its target is already resolved and the chase
+    /// stops after one step. In voter order it would instead walk each
+    /// chain to its sink before memoising anything.
+    ///
     /// # Errors
     ///
     /// * [`CoreError::InvalidParameter`] if the graph contains
@@ -204,16 +217,44 @@ impl CsrForest {
     ///   whose target is `>= n`.
     /// * [`CoreError::CyclicDelegation`] if delegations form a cycle.
     pub fn resolve(&mut self, dg: &DelegationGraph) -> Result<()> {
-        if !dg.is_single_target() {
-            return Err(CoreError::InvalidParameter {
+        if self.try_resolve(dg)? {
+            Ok(())
+        } else {
+            Err(CoreError::InvalidParameter {
                 reason: "resolve requires single-target delegations; \
                          use tally::sample_decision for weighted-majority graphs"
                     .to_string(),
-            });
+            })
         }
-        dg.validate_targets()?;
+    }
+
+    /// [`Self::resolve`], but a graph with an [`Action::DelegateMany`]
+    /// is `Ok(false)` and leaves the forest as it was, so a caller that
+    /// scores such graphs another way needs no scan of its own.
+    pub(crate) fn try_resolve(&mut self, dg: &DelegationGraph) -> Result<bool> {
         let actions = dg.actions();
         let n = actions.len();
+        let mut delegators = 0usize;
+        let mut out_of_range = None;
+        self.next.clear();
+        self.next.resize(n, 0);
+        for ((voter, action), next) in actions.iter().enumerate().zip(&mut self.next) {
+            *next = match *action {
+                Action::Vote => voter as u32,
+                Action::Abstain => DISCARDED,
+                Action::Delegate(target) => {
+                    delegators += 1;
+                    if target >= n && out_of_range.is_none() {
+                        out_of_range = Some((voter, target));
+                    }
+                    target as u32
+                }
+                Action::DelegateMany(_) => return Ok(false),
+            };
+        }
+        if let Some((voter, target)) = out_of_range {
+            return Err(CoreError::DelegationTargetOutOfRange { voter, target, n });
+        }
         if n >= UNRESOLVED as usize {
             return Err(CoreError::InvalidParameter {
                 reason: format!(
@@ -231,57 +272,43 @@ impl CsrForest {
         let (sink_of, rest) = self.arena.split_at_mut(n);
         sink_of.fill(UNRESOLVED);
 
-        // Phase 1: iterative chase with path memoisation. Each chase runs
-        // to the first already-resolved voter or terminal action, then
-        // writes the terminal and depth back down the stacked path.
-        let mut delegators = 0usize;
-        let mut discarded = 0usize;
-        for start in 0..n {
-            if matches!(actions[start], Action::Delegate(_)) {
-                delegators += 1;
+        // Phase 1: chase with path memoisation, latest voter first (see
+        // above). A chase walks `next` to the first voter that is already
+        // resolved or ends the chain itself (a vote, a self-delegation or
+        // an abstention, resolved on the spot), then walks the same path
+        // again writing its terminal and depth. No acyclic chain has more
+        // than n - 1 edges, so a walk longer than n is a cycle.
+        let (next, depth) = (&self.next, &mut self.depth);
+        let (mut discarded, mut longest_chain) = (0usize, 0u32);
+        for start in (0..n).rev() {
+            let (mut end, mut len) = (start, 0u32);
+            while sink_of[end] == UNRESOLVED {
+                let t = next[end];
+                if t == end as u32 || t == DISCARDED {
+                    sink_of[end] = t;
+                    discarded += usize::from(t == DISCARDED);
+                    break;
+                }
+                if len as usize == n {
+                    return Err(CoreError::CyclicDelegation);
+                }
+                len += 1;
+                end = t as usize;
             }
-            if sink_of[start] != UNRESOLVED {
-                continue;
-            }
-            self.stack.clear();
-            let mut cur = start;
             // (terminal, base): the chain's end (sink id or DISCARDED) and
-            // the chain depth at the voter that supplied it.
-            let (terminal, base) = loop {
-                if sink_of[cur] != UNRESOLVED {
-                    break (sink_of[cur], self.depth[cur]);
-                }
-                match &actions[cur] {
-                    Action::Vote => break (cur as u32, 0),
-                    Action::Abstain => break (DISCARDED, 0),
-                    Action::Delegate(t) => {
-                        if self.stack.len() > n {
-                            return Err(CoreError::CyclicDelegation);
-                        }
-                        // Self-delegation counts as voting directly.
-                        if *t == cur {
-                            break (cur as u32, 0);
-                        }
-                        self.stack.push(cur as u32);
-                        cur = *t;
-                    }
-                    Action::DelegateMany(_) => unreachable!("checked above"),
-                }
-            };
-            if sink_of[cur] == UNRESOLVED {
-                sink_of[cur] = terminal;
-                self.depth[cur] = base;
-                if terminal == DISCARDED {
-                    discarded += 1;
-                }
+            // the chain depth at `end`; the voter k edges above it sits at
+            // depth base + k.
+            let (terminal, base) = (sink_of[end], depth[end]);
+            let mut v = start;
+            for above in (1..=len).rev() {
+                sink_of[v] = terminal;
+                depth[v] = base + above;
+                v = next[v] as usize;
             }
-            for (back, &v) in self.stack.iter().rev().enumerate() {
-                sink_of[v as usize] = terminal;
-                self.depth[v as usize] = base + back as u32 + 1;
-                if terminal == DISCARDED {
-                    discarded += 1;
-                }
+            if terminal == DISCARDED {
+                discarded += len as usize;
             }
+            longest_chain = longest_chain.max(base + len);
         }
 
         // Phase 2: counting sort of voters by sink, in place in the arena.
@@ -322,12 +349,12 @@ impl CsrForest {
 
         self.discarded = discarded;
         self.delegators = delegators;
-        self.longest_chain = self.depth.iter().copied().max().unwrap_or(0) as usize;
+        self.longest_chain = longest_chain as usize;
         self.max_weight = max_weight;
         self.sink_count = sink_count;
         let tallied = n - discarded;
         self.arena.truncate(2 * n + 1 + tallied);
-        Ok(())
+        Ok(true)
     }
 
     /// Adopts a raw arena (as persisted by an `ld-store` snapshot)
@@ -446,7 +473,7 @@ impl CsrForest {
             max_weight,
             sink_count,
             cap_n: n,
-            stack: Vec::new(),
+            next: Vec::new(),
             depth,
             gini: Vec::new(),
             terms: Vec::new(),

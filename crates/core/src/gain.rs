@@ -214,10 +214,14 @@ pub enum DrawTally<'a> {
 /// weight, chain, abstentions, Gini) do not depend on the tally.
 /// Weighted-majority graphs ([`crate::delegation::Action::DelegateMany`])
 /// admit no sink-weight tally, so they contribute one sampled outcome
-/// and the statistics their digraph defines instead.
+/// and the statistics their digraph defines instead. The resolve's own
+/// scan tells the two apart; the draw is not scanned beforehand.
 ///
 /// All randomness comes from `rng`, so with per-trial streams the result
 /// is deterministic for a fixed seed regardless of scheduling.
+///
+/// Returns whether the draw was single-target, i.e. went through
+/// `forest`.
 ///
 /// # Errors
 ///
@@ -230,26 +234,14 @@ pub fn accumulate_draw(
     est: &mut GainEstimate,
     forest: &mut CsrForest,
     tally: &mut DrawTally<'_>,
-) -> Result<()> {
-    if !dg.is_single_target() {
-        let correct = sample_decision(instance, dg, tie, rng)?;
-        est.p_mechanism.push(correct as u8 as f64);
-        est.delegators.push(dg.delegator_count() as f64);
-        let digraph = dg.digraph();
-        est.sinks.push(digraph.sinks().len() as f64);
-        // Max weight and chain length are not defined for weighted-majority
-        // graphs under the sink-weight model; record the chain from the
-        // digraph and skip weight.
-        if let Some(lp) = digraph.longest_path() {
-            est.longest_chain.push(lp as f64);
-        }
-        est.abstained.push(dg.abstainer_count() as f64);
-        return Ok(());
-    }
+) -> Result<bool> {
     let p = match tally {
         DrawTally::Exact => {
-            forest.resolve(dg)?;
-            forest.exact_correct_probability(instance, tie)?
+            if forest.try_resolve(dg)? {
+                Some(forest.exact_correct_probability(instance, tie)?)
+            } else {
+                None
+            }
         }
         DrawTally::Packed {
             competence,
@@ -264,6 +256,21 @@ pub fn accumulate_draw(
             scratch.sample(dg, forest, competence, *samples, tie, rng)?
         }
     };
+    let Some(p) = p else {
+        let correct = sample_decision(instance, dg, tie, rng)?;
+        est.p_mechanism.push(correct as u8 as f64);
+        est.delegators.push(dg.delegator_count() as f64);
+        let digraph = dg.digraph();
+        est.sinks.push(digraph.sinks().len() as f64);
+        // Max weight and chain length are not defined for weighted-majority
+        // graphs under the sink-weight model; record the chain from the
+        // digraph and skip weight.
+        if let Some(lp) = digraph.longest_path() {
+            est.longest_chain.push(lp as f64);
+        }
+        est.abstained.push(dg.abstainer_count() as f64);
+        return Ok(false);
+    };
     est.p_mechanism.push(p);
     est.delegators.push(forest.delegators() as f64);
     est.sinks.push(forest.sink_count() as f64);
@@ -271,7 +278,7 @@ pub fn accumulate_draw(
     est.longest_chain.push(forest.longest_chain() as f64);
     est.abstained.push(forest.discarded() as f64);
     est.weight_gini.push(forest.weight_gini());
-    Ok(())
+    Ok(true)
 }
 
 /// Reusable per-worker scratch for [`DrawTally::Packed`]: one bit-packed
@@ -304,7 +311,8 @@ impl PackedTallyScratch {
     }
 
     /// Resolves and packs `dg` unless the planes already hold it, then
-    /// folds `samples` packed coin vectors against them.
+    /// folds `samples` packed coin vectors against them. `None`, with no
+    /// randomness drawn and the cache kept, for a multi-target `dg`.
     fn sample(
         &mut self,
         dg: &DelegationGraph,
@@ -313,7 +321,7 @@ impl PackedTallyScratch {
         samples: u32,
         tie: TieBreak,
         rng: &mut dyn RngCore,
-    ) -> Result<f64> {
+    ) -> Result<Option<f64>> {
         // Re-packing the same delegation outcome is pure overhead: the
         // resolve and the plane transpose are deterministic in the action
         // vector, so a cache hit leaves bit-identical planes in place and
@@ -330,13 +338,18 @@ impl PackedTallyScratch {
         if !hit {
             // Taken before the resolve, so a failed resolve leaves no
             // cache entry pointing at a half-written forest.
-            let mut cached = self.cached_actions.take().unwrap_or_default();
-            forest.resolve(dg)?;
+            let cached = self.cached_actions.take();
+            if !forest.try_resolve(dg)? {
+                // The forest and planes are untouched: the entry still holds.
+                self.cached_actions = cached;
+                return Ok(None);
+            }
             forest.pack_sink_weights(&mut self.weights);
-            cached.clear();
-            cached.extend(actions.iter().map_while(cache_key));
-            if cached.len() == actions.len() {
-                self.cached_actions = Some(cached);
+            let mut keys = cached.unwrap_or_default();
+            keys.clear();
+            keys.extend(actions.iter().map_while(cache_key));
+            if keys.len() == actions.len() {
+                self.cached_actions = Some(keys);
             }
         }
         let total = forest.tallied() as u64;
@@ -348,7 +361,9 @@ impl PackedTallyScratch {
             wins += u64::from(2 * w > total);
             ties += u64::from(2 * w == total);
         }
-        Ok((wins as f64 + tie.credit() * ties as f64) / f64::from(samples))
+        Ok(Some(
+            (wins as f64 + tie.credit() * ties as f64) / f64::from(samples),
+        ))
     }
 }
 

@@ -4,7 +4,9 @@
 use crate::competency::CompetencyProfile;
 use crate::error::{CoreError, Result};
 use ld_graph::Graph;
+use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// A liquid-democracy problem instance `G = (V, E, p)` with approval
 /// parameter `α > 0` (§2.1 of the paper).
@@ -29,11 +31,31 @@ use std::ops::Range;
 /// assert_eq!(inst.approval_set(3), Vec::<usize>::new());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct ProblemInstance {
     graph: Graph,
     profile: CompetencyProfile,
     alpha: f64,
+    /// Voter `i`'s approval cut: the row position where `J(i)` starts
+    /// (see [`ProblemInstance::approval_rows`]). A function of the three
+    /// fields above, filled on first use; `==` and `Debug` ignore it.
+    cuts: OnceLock<Box<[u32]>>,
+}
+
+impl PartialEq for ProblemInstance {
+    fn eq(&self, other: &Self) -> bool {
+        self.graph == other.graph && self.profile == other.profile && self.alpha == other.alpha
+    }
+}
+
+impl fmt::Debug for ProblemInstance {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProblemInstance")
+            .field("graph", &self.graph)
+            .field("profile", &self.profile)
+            .field("alpha", &self.alpha)
+            .finish()
+    }
 }
 
 impl ProblemInstance {
@@ -65,6 +87,7 @@ impl ProblemInstance {
             graph,
             profile,
             alpha,
+            cuts: OnceLock::new(),
         })
     }
 
@@ -116,19 +139,39 @@ impl ProblemInstance {
     /// [`CompetencyProfile`] invariant) and neighbour rows are sorted (a
     /// [`Graph`] invariant), so `p_j` is nondecreasing along the row and
     /// the approved neighbours — those with `p_i + α ≤ p_j` — are exactly
-    /// a suffix of it. A binary search finds the cut in `O(log deg)` with
-    /// no allocation, which is what makes per-trial mechanism runs cheap.
-    /// On `K_n` neither the search nor reading a member touches adjacency
-    /// memory: with `α > 0` the approved voters are exactly `v_cut..n`,
-    /// the voters at least `α` more competent than `i`.
+    /// a suffix of it. The cut where that suffix starts is a fixed
+    /// function of the instance, so it is found once per voter, by binary
+    /// search, and kept: the first call fills [`Self::approval_cuts`]
+    /// (`O(n log deg)`), and every call reads it in `O(1)`.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.n()`.
     pub fn approval_rows(&self, i: usize) -> Range<usize> {
-        let threshold = self.profile.get(i) + self.alpha;
-        let ps = self.profile.as_slice();
-        self.graph.partition_neighbors(i, |j| ps[j] < threshold)..self.graph.degree(i)
+        self.approval_cuts()[i] as usize..self.graph.degree(i)
+    }
+
+    /// Every voter's approval cut, in voter order: `J(i)` is row
+    /// positions `approval_cuts()[i]..graph().degree(i)` of voter `i`
+    /// (see [`Self::approval_rows`]). Computed on the first call, 4 bytes
+    /// per voter; building an instance does no `O(n)` work. On `K_n`
+    /// finding a cut touches no adjacency memory: the row is `0..n`
+    /// without `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some voter has `2^32` or more neighbours.
+    pub fn approval_cuts(&self) -> &[u32] {
+        self.cuts.get_or_init(|| {
+            let ps = self.profile.as_slice();
+            (0..self.n())
+                .map(|i| {
+                    let threshold = ps[i] + self.alpha;
+                    let cut = self.graph.partition_neighbors(i, |j| ps[j] < threshold);
+                    u32::try_from(cut).expect("approval cuts are u32 row positions")
+                })
+                .collect()
+        })
     }
 
     /// The approval set `J(i)`: the approved neighbours of voter `i`, in
@@ -250,8 +293,43 @@ mod tests {
                 let rows = inst.approval_rows(i);
                 assert_eq!(rows.end, inst.graph().degree(i));
                 assert_eq!(inst.approval_count(i), naive.len());
+                // The cached cut equals a fresh search.
+                let fresh = inst
+                    .graph()
+                    .partition_neighbors(i, |j| inst.competency(j) < pi + alpha);
+                assert_eq!(inst.approval_cuts()[i] as usize, fresh, "voter {i}");
             }
         }
+    }
+
+    #[test]
+    fn equality_debug_and_clone_ignore_the_cut_table() {
+        let build = || {
+            ProblemInstance::new(
+                generators::complete(7),
+                CompetencyProfile::linear(7, 0.2, 0.8).unwrap(),
+                0.15,
+            )
+            .unwrap()
+        };
+        let (filled, empty) = (build(), build());
+        let unfilled_debug = format!("{filled:?}");
+        filled.approval_cuts();
+        assert_eq!(filled, empty);
+        assert_eq!(empty, filled);
+        assert_eq!(format!("{filled:?}"), unfilled_debug);
+        assert_eq!(format!("{filled:?}"), format!("{empty:?}"));
+        assert!(!unfilled_debug.contains("cuts"));
+        assert_eq!(filled.clone(), empty.clone());
+        assert_eq!(filled.clone().approval_cuts(), empty.approval_cuts());
+        // Each field still counts.
+        let other = ProblemInstance::new(
+            generators::complete(7),
+            CompetencyProfile::linear(7, 0.2, 0.8).unwrap(),
+            0.1,
+        )
+        .unwrap();
+        assert_ne!(filled, other);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Algorithm 1: threshold delegation on the approval set.
 
-use crate::delegation::Action;
+use crate::delegation::{Action, DelegationGraph};
 use crate::instance::ProblemInstance;
 use crate::mechanisms::{choose_approved, Mechanism};
-use ld_prob::rng::RngCore;
+use ld_prob::rng::{Rng, RngCore};
 
 /// How the delegation threshold `j(·)` scales with the voter's
 /// neighbourhood size.
@@ -115,6 +115,35 @@ impl Mechanism for ApprovalThreshold {
         } else {
             Action::Vote
         }
+    }
+
+    /// The [`Mechanism::act`] loop with nothing left but the draw: one
+    /// pass over the instance's approval cuts, the threshold evaluated
+    /// once per run of equal degrees, and one `gen_range(0..|J(i)|)` per
+    /// delegating voter in voter order. It emits the same actions and
+    /// leaves `rng` in the same state as the per-voter loop.
+    fn run(&self, instance: &ProblemInstance, rng: &mut dyn RngCore) -> DelegationGraph {
+        let graph = instance.graph();
+        let mut last = None;
+        let mut threshold = 0;
+        instance
+            .approval_cuts()
+            .iter()
+            .enumerate()
+            .map(|(v, &cut)| {
+                let degree = graph.degree(v);
+                if last != Some(degree) {
+                    last = Some(degree);
+                    threshold = self.rule.threshold(degree).max(1);
+                }
+                let (cut, len) = (cut as usize, degree - cut as usize);
+                if len >= threshold {
+                    Action::Delegate(graph.nth_neighbor(v, cut + rng.gen_range(0..len)))
+                } else {
+                    Action::Vote
+                }
+            })
+            .collect()
     }
 
     fn name(&self) -> String {
@@ -233,15 +262,66 @@ mod tests {
     }
 
     #[test]
-    fn buffered_run_equals_per_voter_act() {
-        let inst = complete_instance(24);
-        let mech = ApprovalThreshold::new(2);
-        let mut r1 = StdRng::seed_from_u64(11);
-        let mut r2 = StdRng::seed_from_u64(11);
-        let via_run = mech.run(&inst, &mut r1);
-        let via_act: crate::delegation::DelegationGraph =
-            (0..inst.n()).map(|v| mech.act(&inst, v, &mut r2)).collect();
-        assert_eq!(via_run, via_act);
+    fn run_matches_the_act_loop_bit_for_bit() {
+        // `run`'s one loop over the cut table against the trait's
+        // per-voter `act` loop: the same actions, and the generator left
+        // in the same state, on every topology and threshold rule.
+        let mut gen = StdRng::seed_from_u64(0xA1);
+        let rules = [
+            ThresholdRule::Constant(0),
+            ThresholdRule::Constant(1),
+            ThresholdRule::Constant(3),
+            ThresholdRule::Constant(40),
+            ThresholdRule::Power { exponent: 0.5 },
+            ThresholdRule::Fraction { fraction: 0.25 },
+            ThresholdRule::Log,
+        ];
+        // Voters that delegate, that stay below the threshold with a
+        // nonempty J(i), and whose J(i) is empty.
+        let (mut delegating, mut below, mut empty) = (0, 0, 0);
+        for n in [3, 9, 33, 64, 200] {
+            let mut graphs = vec![
+                generators::complete(n),
+                generators::star(n),
+                generators::cycle(n),
+                generators::erdos_renyi_gnp(n, 0.3, &mut gen).unwrap(),
+                generators::erdos_renyi_gnp(n, 0.02, &mut gen).unwrap(),
+            ];
+            if n > 8 {
+                graphs.push(generators::random_regular(n, 8, &mut gen).unwrap());
+            }
+            // Competences on a 0.1 grid with α = 0.1: many exact-margin
+            // ties and many voters of equal competence.
+            let mut ps: Vec<f64> = (0..n)
+                .map(|_| f64::from(gen.gen_range(1..10u8)) / 10.0)
+                .collect();
+            ps.sort_by(f64::total_cmp);
+            let profile = CompetencyProfile::new(ps).unwrap();
+            for graph in graphs {
+                let inst = ProblemInstance::new(graph, profile.clone(), 0.1).unwrap();
+                for rule in rules {
+                    let mech = ApprovalThreshold::with_rule(rule);
+                    let seed = gen.next_u64();
+                    let mut r1 = StdRng::seed_from_u64(seed);
+                    let mut r2 = StdRng::seed_from_u64(seed);
+                    let via_run = mech.run(&inst, &mut r1);
+                    let via_act: DelegationGraph =
+                        (0..n).map(|v| mech.act(&inst, v, &mut r2)).collect();
+                    assert_eq!(via_run, via_act, "n={n} {rule:?}");
+                    assert_eq!(r1.next_u64(), r2.next_u64(), "n={n} {rule:?}");
+                    for v in 0..n {
+                        let len = inst.approval_count(v);
+                        let threshold = rule.threshold(inst.graph().degree(v)).max(1);
+                        match len {
+                            0 => empty += 1,
+                            _ if len < threshold => below += 1,
+                            _ => delegating += 1,
+                        }
+                    }
+                }
+            }
+        }
+        assert!(delegating > 0 && below > 0 && empty > 0);
     }
 
     #[test]

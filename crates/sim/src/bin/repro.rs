@@ -31,7 +31,8 @@
 //! Every subcommand declares its flags in `COMMANDS` and goes through
 //! one parser, `Args::parse`. An unknown flag, a missing value or a
 //! value that does not parse (an element of a comma list included)
-//! prints the subcommand's usage and exits 2 before anything runs.
+//! prints the subcommand's usage and exits 2 before anything runs;
+//! `--help` or `-h` prints it and exits 0.
 //!
 //! Runs are fault tolerant and a pure function of `(seed, trials,
 //! workers)`: each experiment runs once under panic isolation, and a
@@ -150,7 +151,7 @@ static COMMANDS: &[Command] = &[
     },
     Command {
         name: "perf-gate",
-        usage: "usage: repro perf-gate (takes no arguments)",
+        usage: "usage: repro perf-gate",
         switches: "",
         valued: "",
         check: perf_gate_command,
@@ -166,7 +167,7 @@ static RUNNER: Command = Command {
             [--csv-dir DIR] [--max-wall SECS] [--fail-fast] \
             [--obs-summary] [--obs-jsonl PATH] \
             <id>... | all | verify",
-    switches: "--list|-l --quick|-q --fail-fast --obs-summary --help|-h",
+    switches: "--list|-l --quick|-q --fail-fast --obs-summary",
     valued: "--seed|-s --workers|-w --json|-j --csv-dir --max-wall --obs-jsonl",
     check: runner_command,
 };
@@ -203,8 +204,12 @@ fn usage(cmd: &Command) -> String {
     line
 }
 
-/// A command line checked against one command's flags: every flag is
-/// known and every valued flag has its value. Values are typed on lookup.
+/// The switch every command takes: print its usage and exit 0.
+const HELP: &str = "--help|-h";
+
+/// A command line checked against one command's flags (and [`HELP`]):
+/// every flag is known and every valued flag has its value. Values are
+/// typed on lookup.
 struct Args {
     /// `(long name, value)` per flag given, in command-line order.
     flags: Vec<(&'static str, Option<String>)>,
@@ -226,7 +231,7 @@ impl Args {
         };
         let mut iter = argv.iter();
         while let Some(arg) = iter.next() {
-            if let Some(flag) = find(cmd.switches, arg) {
+            if let Some(flag) = find(cmd.switches, arg).or_else(|| find(HELP, arg)) {
                 args.flags.push((flag, None));
             } else if let Some(flag) = find(cmd.valued, arg) {
                 let value = iter.next().ok_or_else(|| format!("{flag} needs a value"))?;
@@ -360,7 +365,9 @@ fn sweep_args(a: &Args) -> Result<SweepArgs, String> {
         ..Default::default()
     };
     cfg.seed = a.get("--seed")?.unwrap_or(cfg.seed);
-    cfg.workers = a.get("--workers")?.unwrap_or(cfg.workers);
+    cfg.workers = a
+        .get_with("--workers", at_least_one)?
+        .unwrap_or(cfg.workers);
     let budget = RunBudget {
         max_wall_secs: a.get("--max-wall")?,
         max_trials_per_point: a.get("--max-trials-per-point")?,
@@ -465,7 +472,7 @@ fn stress_command(a: &Args) -> Result<Run, String> {
     let (Some(n), Some(updates)) = (a.get("--n")?, a.get::<usize>("--updates")?) else {
         return Err("--n and --updates are required".to_string());
     };
-    let batch = a.get("--batch")?.unwrap_or(64usize).max(1);
+    let batch = a.get_with("--batch", at_least_one)?.unwrap_or(64usize);
     let seed = a.get("--seed")?.unwrap_or(ExperimentConfig::default().seed);
     let mut trace = TraceConfig::balanced(n);
     if let Some(s) = a.get("--zipf")? {
@@ -789,11 +796,11 @@ fn dynamics_command(a: &Args) -> Result<Run, String> {
             kernel.ok_or("want exact | packed[:samples]")
         })?
         .unwrap_or(TallyKernel::Exact);
-    if let Some(w) = a.get::<usize>("--workers")? {
-        cfg.workers = w.max(1);
+    if let Some(w) = a.get_with("--workers", at_least_one)? {
+        cfg.workers = w;
     }
-    if let Some(r) = a.get::<usize>("--rounds")? {
-        cfg.max_rounds = r.max(1);
+    if let Some(r) = a.get_with("--rounds", at_least_one)? {
+        cfg.max_rounds = r;
     }
     if let Some(mut ks) = a.list("--coalitions")? {
         if !ks.contains(&0) {
@@ -1376,19 +1383,14 @@ fn report_quarantine(entries: &[QuarantineEntry]) {
 /// Handles the experiment runner (see [`RUNNER`]): lists the registry,
 /// runs `verify`, or runs the named experiments (`all` for every one).
 fn runner_command(a: &Args) -> Result<Run, String> {
-    if a.has("--help") {
-        let line = usage(&RUNNER);
-        return Ok(Box::new(move || {
-            println!("{line}");
-            ExitCode::SUCCESS
-        }));
-    }
     let mut cfg = ExperimentConfig {
         quick: a.has("--quick"),
         ..Default::default()
     };
     cfg.seed = a.get("--seed")?.unwrap_or(cfg.seed);
-    cfg.workers = a.get("--workers")?.unwrap_or(cfg.workers);
+    cfg.workers = a
+        .get_with("--workers", at_least_one)?
+        .unwrap_or(cfg.workers);
     let json: Option<PathBuf> = a.get("--json")?;
     let csv_dir: Option<PathBuf> = a.get("--csv-dir")?;
     let max_wall: Option<f64> = a.get("--max-wall")?;
@@ -1528,10 +1530,20 @@ fn any_degraded(results: &[ExperimentResult]) -> bool {
 }
 
 /// Parses `argv` (without the program name) against the command it
-/// names; a usage error is an error message for that command.
+/// names; a usage error is an error message for that command. With
+/// [`HELP`] the run prints the command's usage instead.
 fn parse_line(argv: &[String]) -> (&'static Command, Result<Run, String>) {
     let (cmd, rest) = dispatch(argv);
-    let run = Args::parse(cmd, rest).and_then(|a| (cmd.check)(&a));
+    let run = Args::parse(cmd, rest).and_then(|a| -> Result<Run, String> {
+        if a.has("--help") {
+            Ok(Box::new(|| {
+                println!("{}", usage(cmd));
+                ExitCode::SUCCESS
+            }))
+        } else {
+            (cmd.check)(&a)
+        }
+    });
     (cmd, run)
 }
 
@@ -1605,17 +1617,20 @@ mod tests {
         ("all --seed", "--seed"),
         ("all --seed x", "--seed"),
         ("all -w -1", "--workers"),
+        ("all --workers 0", "--workers"),
         ("bogus-experiment", "bogus-experiment"),
         ("sweep VALID --resume x", "--resume"),
         ("sweep VALID --trials", "--trials needs a value"),
         ("sweep VALID --trials abc", "--trials"),
         ("sweep VALID --seed x", "--seed"),
         ("sweep VALID --workers -1", "--workers"),
+        ("sweep VALID --workers 0", "--workers"),
         ("sweep VALID --topology ring", "--topology"),
         ("sweep --topology complete --sizes 16", "required"),
         ("stress --n 512 --updates 2000 --bacth 8", "--bacth"),
         ("stress --n 512 --updates 2000 --batch", "--batch"),
         ("stress --n 512 --updates 2000 --batch eight", "--batch"),
+        ("stress --n 512 --updates 2000 --batch 0", "--batch"),
         ("stress --n 512 --updates 2000 --mix 0.5,x,0.2,0.1", "--mix"),
         ("stress --n 512 --updates 2000 --mix 0.5,0.2", "--mix"),
         (
@@ -1641,6 +1656,8 @@ mod tests {
         ("dynamics --quick --coalitions 1,x", "--coalitions"),
         ("dynamics --quick --coalitions 1,2,", "--coalitions"),
         ("dynamics --kernel packed:lots", "--kernel"),
+        ("dynamics --quick --workers 0", "--workers"),
+        ("dynamics --quick --rounds 0", "--rounds"),
         ("ranked --rank 2", "--rank"),
         ("ranked --ranks", "--ranks"),
         ("ranked --ranks 0", "--ranks"),
@@ -1726,6 +1743,17 @@ mod tests {
     fn help_and_module_doc_name_every_command() {
         let help = usage(&RUNNER);
         let doc = include_str!("repro.rs");
+        for cmd in COMMANDS.iter().chain([&RUNNER]) {
+            for spelling in HELP.split('|') {
+                let line = format!("{} {spelling}", cmd.name);
+                let (named, run) = parse_line(&argv(&line));
+                assert!(std::ptr::eq(named, cmd), "{line:?}");
+                match run {
+                    Ok(run) => assert_eq!(run(), ExitCode::SUCCESS, "{line:?}"),
+                    Err(e) => panic!("{line:?} was rejected: {e}"),
+                }
+            }
+        }
         for cmd in COMMANDS {
             assert!(help.contains(&format!("| {}", cmd.name)), "{help}");
             assert!(

@@ -367,10 +367,10 @@ fn run_chunk(
     for t in start..end {
         let mut rng = stream_rng(seed, t);
         let dg = mechanism.run(instance, &mut rng);
-        if dg.is_single_target() && forest.fits(instance.n()) {
+        let warm = forest.fits(instance.n());
+        if accumulate_draw(instance, &dg, tie, &mut rng, &mut local, forest, &mut tally)? && warm {
             obs.scratch_reuse.incr();
         }
-        accumulate_draw(instance, &dg, tie, &mut rng, &mut local, forest, &mut tally)?;
         obs.trials.note_done();
     }
     Ok(local)
