@@ -16,6 +16,8 @@
 //! machinery in `ld-prob` (exact expectation/variance DPs, Lemma 2
 //! deviation apparatus) can be applied to real mechanism outcomes, and the
 //! mechanism simulation can be cross-validated against the abstract model.
+//! The module is unit-test-only so far: its own tests do that
+//! cross-validation, and no experiment calls it.
 
 use crate::error::{CoreError, Result};
 use crate::instance::ProblemInstance;

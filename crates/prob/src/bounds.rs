@@ -13,6 +13,7 @@ use crate::normal::erf;
 ///
 /// Lemma 1 of the paper instantiates this with `δ = ε / j^{1/3}` to show
 /// that prefixes of independent voters rarely fall far below their mean.
+/// Unit-test-only so far: no experiment calls it.
 ///
 /// # Errors
 ///

@@ -264,8 +264,9 @@ pub fn linear_fit(points: &[(f64, f64)]) -> Option<(f64, f64)> {
 /// exponent `a`.
 ///
 /// Points with non-positive coordinates are skipped. Returns `None` when
-/// fewer than two usable points remain. Used to extract empirical
-/// convergence rates (e.g. how fast the loss in Lemma 3 vanishes with `n`).
+/// fewer than two usable points remain. Meant for extracting empirical
+/// convergence rates (e.g. how fast the loss in Lemma 3 vanishes with
+/// `n`), but unit-test-only so far: no experiment calls it.
 pub fn power_law_exponent(points: &[(f64, f64)]) -> Option<f64> {
     let logs: Vec<(f64, f64)> = points
         .iter()

@@ -1,19 +1,24 @@
-//! One hosted election: batched ingest, sequenced apply, epoch publish.
+//! One hosted election: ingest applied on arrival, batched WAL writes,
+//! epoch publish.
 //!
 //! # Threading model
 //!
 //! ```text
-//!  submit() ──mpsc──▶ sequencer thread ──▶ LiveEngine + WAL
-//!                     (window, apply,          │ barrier: sync, compact,
-//!                      log)                    ▼ tally, commit
+//!  submit() ──mpsc──▶ sequencer thread ──apply on arrival──▶ LiveEngine
+//!                     (window: one WAL write,                  │ barrier: sync,
+//!                      publish cadence)                        ▼ compact, tally, commit
 //!                                     Arc<EpochSnapshot>  ◀── snapshot() (readers)
 //! ```
 //!
-//! The sequencer is the election's only writer. It drains the ingest
-//! channel in ~window-sized batches and applies every update to its
-//! [`LiveEngine`] in arrival order; the engine's own validation decides
-//! acceptance and rejects are counted. Accepted updates are appended to
-//! the WAL (when durable) once per window.
+//! The sequencer is the election's only writer. It applies every update
+//! to its [`LiveEngine`] as it arrives, in arrival order; the engine's
+//! own validation decides acceptance and rejects are counted. The
+//! ingest window batches only what must be batched: the accepted updates
+//! wait in one reusable buffer and go to the WAL (when durable) as one
+//! `write(2)` when the window ends, and the window count sets the
+//! publish cadence. A window ends at its deadline, at `max_batch`
+//! updates, on a flush, or when ingest closes. So a flush finds the
+//! window in flight already applied and goes straight to the barrier.
 //!
 //! Every `publish_every` windows (and on every flush) the sequencer runs
 //! the epoch barrier: the WAL fsyncs and may compact, the published
@@ -29,6 +34,10 @@
 //! A durable-layer failure is sticky: the election keeps applying
 //! ingest but never publishes again, so it stops taking latency stamps
 //! it could never close.
+//!
+//! A kill drops the window in flight: its updates are in the engine but
+//! were never logged, and no epoch covers them, so a restart resumes at
+//! the last committed epoch as if they had never arrived.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,10 +73,12 @@ pub struct ElectionConfig {
     /// Explicit per-voter initial competences (overrides `default_p`;
     /// must have length `n`).
     pub competences: Option<Vec<f64>>,
-    /// Ingest batching window: the sequencer keeps draining the channel
-    /// this long after the first update of a batch.
+    /// Ingest window: how long after a window's first update the
+    /// sequencer keeps collecting accepted updates for one WAL write.
+    /// Updates are applied as they arrive either way; a flush ends the
+    /// window early.
     pub window: Duration,
-    /// Hard cap on updates per applied batch.
+    /// Hard cap on updates per window.
     pub max_batch: usize,
     /// Windows between automatic epoch publishes (`0` = publish only
     /// on flush and shutdown).
@@ -446,8 +457,9 @@ impl Election {
         }
     }
 
-    /// Abrupt stop: pending ingest is dropped, no final barrier runs,
-    /// no epoch commits — the crash path, for recovery testing. The
+    /// Abrupt stop: pending ingest and the window in flight are dropped
+    /// unlogged, no final barrier runs, no epoch commits — the crash
+    /// path, for recovery testing. The
     /// durable state is whatever the last committed epoch covers.
     pub fn kill(mut self) {
         if let Some(tx) = self.ingest.take() {
@@ -501,6 +513,9 @@ struct Sequencer {
     /// Ingest times of the updates applied since the last publish;
     /// empty once the election has failed.
     stamps: Vec<Instant>,
+    /// The open window's accepted updates in arrival order: already in
+    /// the engine, not yet in the WAL.
+    pending: Vec<Update>,
     windows: u32,
     /// The first durable-layer failure; once set, no epoch publishes.
     failure: Option<String>,
@@ -559,6 +574,7 @@ impl Sequencer {
             applied,
             rejected,
             stamps: Vec::new(),
+            pending: Vec::new(),
             windows: 0,
             failure: None,
             obs: SequencerObs::resolve(),
@@ -571,36 +587,33 @@ impl Sequencer {
         loop {
             match self.rx.recv() {
                 Ok(Msg::Update(update, at)) => {
-                    let mut buf = vec![(update, at)];
+                    self.apply(update, at);
+                    let mut len = 1;
                     let deadline = Instant::now() + self.window;
                     let mut flush_reply = None;
-                    let mut killed = false;
-                    while buf.len() < self.max_batch {
+                    while len < self.max_batch {
                         let now = Instant::now();
                         if now >= deadline {
                             break;
                         }
                         match self.rx.recv_timeout(deadline - now) {
-                            Ok(Msg::Update(u, t)) => buf.push((u, t)),
+                            Ok(Msg::Update(u, t)) => {
+                                self.apply(u, t);
+                                len += 1;
+                            }
                             Ok(Msg::Flush(reply)) => {
                                 flush_reply = Some(reply);
                                 break;
                             }
-                            Ok(Msg::Kill) => {
-                                killed = true;
-                                break;
-                            }
+                            // Crash semantics: the window in flight is
+                            // lost, applied but never logged.
+                            Ok(Msg::Kill) => return self.failure,
                             Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
                                 break
                             }
                         }
                     }
-                    if killed {
-                        // Crash semantics: the window in flight is lost.
-                        return self.failure;
-                    }
-                    self.apply_window(buf);
-                    self.windows += 1;
+                    self.log_window(len);
                     if let Some(reply) = flush_reply {
                         let _ = reply.send(self.barrier_and_publish());
                     } else if self.publish_every > 0 && self.windows >= self.publish_every {
@@ -623,31 +636,35 @@ impl Sequencer {
         }
     }
 
-    /// Applies one ingest window in arrival order and logs the accepted
-    /// updates.
-    fn apply_window(&mut self, buf: Vec<(Update, Instant)>) {
-        self.obs.window_updates.record(buf.len() as u64);
-        let mut accepted = Vec::with_capacity(buf.len());
+    /// Applies one update as it arrives; the engine's validation decides
+    /// acceptance, and an accepted update waits in `pending` for the
+    /// window's WAL write.
+    fn apply(&mut self, update: Update, at: Instant) {
         // A failed election never publishes again, so nothing would
         // close a latency stamp taken now.
-        let stamping = self.failure.is_none();
-        for (update, at) in buf {
-            if stamping {
-                self.stamps.push(at);
-            }
-            if self.engine.apply(update).is_ok() {
-                accepted.push(update);
-            } else {
-                self.rejected += 1;
-                self.obs.rejected.incr();
-            }
+        if self.failure.is_none() {
+            self.stamps.push(at);
         }
-        self.applied += accepted.len() as u64;
+        if self.engine.apply(update).is_ok() {
+            self.pending.push(update);
+        } else {
+            self.rejected += 1;
+            self.obs.rejected.incr();
+        }
+    }
+
+    /// Ends a window of `len` applied updates: its accepted ones go to
+    /// the WAL as one `append_batch`, in arrival order.
+    fn log_window(&mut self, len: usize) {
+        self.obs.window_updates.record(len as u64);
+        self.applied += self.pending.len() as u64;
+        self.windows += 1;
         if let (Some(store), None) = (self.store.as_mut(), &self.failure) {
-            if let Err(e) = store.append_batch(&accepted) {
+            if let Err(e) = store.append_batch(&self.pending) {
                 self.failure = Some(format!("wal append: {e}"));
             }
         }
+        self.pending.clear();
     }
 
     /// The epoch barrier: sync and compact the WAL, tally, commit, swap.
@@ -734,33 +751,35 @@ mod tests {
         LiveEngine::new(vec![Action::Vote; n], vec![0.5; n]).expect("engine")
     }
 
-    /// A window of `len` always-accepted competence updates.
-    fn window(n: usize, len: usize) -> Vec<(Update, Instant)> {
-        (0..len)
-            .map(|k| {
-                let update = Update::Competence {
-                    voter: k % n,
-                    p: 0.75,
-                };
-                (update, Instant::now())
-            })
-            .collect()
+    /// Applies a window of `len` always-accepted competence updates on
+    /// arrival, without ending it.
+    fn apply_updates(seq: &mut Sequencer, n: usize, len: usize) {
+        for k in 0..len {
+            let update = Update::Competence {
+                voter: k % n,
+                p: 0.75,
+            };
+            seq.apply(update, Instant::now());
+        }
     }
 
-    #[test]
-    fn a_failed_sequencer_keeps_no_latency_stamps() {
-        let n = 16;
-        let dir =
-            std::env::temp_dir().join(format!("ld-serve-failed-stamps-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// Applies and logs one window of `len` such updates.
+    fn window(seq: &mut Sequencer, n: usize, len: usize) {
+        apply_updates(seq, n, len);
+        seq.log_window(len);
+    }
+
+    /// A sequencer over a fresh durable store at `dir`. Counting the
+    /// store's operations after creation from 0, operation `fault_after`
+    /// fails (`None`: none does).
+    fn durable(dir: &Path, n: usize, fault_after: Option<u64>) -> Sequencer {
+        let _ = std::fs::remove_dir_all(dir);
         let create_ops = Store::create(&dir.join("probe"), &engine(n), StoreOptions::default())
             .expect("probe store")
             .clock()
             .ops();
-        // After creation, op `create_ops` is the first window's WAL
-        // append and the next one is the barrier's fsync.
         let opts = StoreOptions {
-            fault: FaultPlan::fail_at(create_ops + 1),
+            fault: fault_after.map_or(FaultPlan::none(), |k| FaultPlan::fail_at(create_ops + k)),
             ..StoreOptions::default()
         };
         let store = Store::create(&dir.join(STORE_DIR), &engine(n), opts).expect("store");
@@ -772,8 +791,18 @@ mod tests {
         };
         let (_tx, rx) = mpsc::channel();
         let cfg = ElectionConfig::new(n as u32);
-        let mut seq = Sequencer::new(&cfg, engine(n), Some(store), None, rx, initial);
-        seq.apply_window(window(n, 8));
+        Sequencer::new(&cfg, engine(n), Some(store), None, rx, initial)
+    }
+
+    #[test]
+    fn a_failed_sequencer_keeps_no_latency_stamps() {
+        let n = 16;
+        let dir =
+            std::env::temp_dir().join(format!("ld-serve-failed-stamps-{}", std::process::id()));
+        // After creation, op 0 is the first window's WAL append and op 1
+        // the barrier's fsync.
+        let mut seq = durable(&dir, n, Some(1));
+        window(&mut seq, n, 8);
         assert_eq!(seq.stamps.len(), 8);
         let failed = seq.barrier_and_publish();
         assert!(
@@ -782,12 +811,33 @@ mod tests {
         );
         assert!(seq.stamps.is_empty(), "a failed barrier drops its stamps");
         for _ in 0..4 {
-            seq.apply_window(window(n, 8));
+            window(&mut seq, n, 8);
             assert!(seq.stamps.is_empty(), "a failed election stamps nothing");
         }
         assert!(seq.barrier_and_publish().is_err(), "the failure is sticky");
         assert_eq!(seq.applied, 40, "ingest is still applied");
         assert_eq!(seq.published.latency_ns.summary("ns").count, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn updates_apply_on_arrival_and_a_window_is_one_wal_write() {
+        let n = 16;
+        let dir = std::env::temp_dir().join(format!("ld-serve-one-write-{}", std::process::id()));
+        let mut seq = durable(&dir, n, None);
+        let clock = Arc::clone(seq.store.as_ref().expect("durable").clock());
+        for round in 1..=3 {
+            let ops = clock.ops();
+            apply_updates(&mut seq, n, 8);
+            assert_eq!(clock.ops(), ops, "applying touches no file");
+            assert_eq!(seq.pending.len(), 8, "applied, waiting for the WAL");
+            seq.log_window(8);
+            assert_eq!(clock.ops(), ops + 1, "one window, one WAL write");
+            assert!(seq.pending.is_empty());
+            assert_eq!((seq.applied, seq.windows), (8 * round, round as u32));
+        }
+        let store = seq.store.as_ref().expect("durable");
+        assert_eq!(store.records(), 24, "one record per accepted update");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -218,6 +218,82 @@ fn killed_service_recovers_the_committed_epoch_bit_identically() {
 }
 
 #[test]
+fn a_kill_inside_an_open_window_loses_that_window() {
+    let n = 70;
+    let dir = scratch("kill-open-window");
+    let committed_ops = stream(n, 300, 0x0BE1);
+    let in_window = stream(n, 120, 0x0BE2);
+    let mut cfg = ElectionConfig::new(n as u32);
+    // Only a Flush, a Kill or shutdown ends a window this long.
+    cfg.window = Duration::from_secs(10);
+    cfg.publish_every = 0;
+    cfg.dir = Some(dir.clone());
+    let election = Election::create(&cfg).expect("create durable");
+    for &u in &committed_ops {
+        election.submit(u).expect("submit");
+    }
+    let committed = election.flush().expect("flush");
+    for &u in &in_window {
+        election.submit(u).expect("submit in window");
+    }
+    // Long enough for the sequencer to apply them: they are in its
+    // engine, but their window has not been logged.
+    std::thread::sleep(Duration::from_millis(50));
+    election.kill();
+
+    let wal = ld_store::recover(&dir.join("shard-0")).expect("uncapped store recovery");
+    assert_eq!(
+        wal.records, committed.applied,
+        "the WAL holds no record of the open window"
+    );
+    let (revived, report) = Election::recover(&dir, &cfg).expect("recover");
+    assert_eq!(report.epoch, committed.epoch);
+    assert_eq!(report.digest, committed.tally.digest);
+    assert_eq!(report.applied, committed.applied);
+    assert_eq!(report.rejected, committed.rejected);
+    let (engine, _) = oracle(n, &committed_ops);
+    assert_matches_engine(&revived.snapshot(), &engine, "recovered");
+    revived.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_flush_mid_window_covers_every_prior_submit_without_waiting_out_the_window() {
+    let n = 90;
+    let updates = stream(n, 900, 0xF1A5);
+    let mut cfg = ElectionConfig::new(n as u32);
+    cfg.window = Duration::from_secs(10);
+    cfg.publish_every = 0;
+    let election = Election::create(&cfg).expect("create");
+    for (round, chunk) in updates.chunks(300).enumerate() {
+        for &u in chunk {
+            election.submit(u).expect("submit");
+        }
+        let start = Instant::now();
+        let snap = election.flush().expect("flush");
+        let waited = start.elapsed();
+        assert!(
+            waited < Duration::from_secs(5),
+            "flush {round} waited {waited:?} for a 10 s window"
+        );
+        let prior = &updates[..300 * (round + 1)];
+        let (engine, accepted) = oracle(n, prior);
+        assert_eq!(
+            snap.applied,
+            accepted.len() as u64,
+            "flush {round}: applied"
+        );
+        assert_eq!(
+            snap.rejected,
+            (prior.len() - accepted.len()) as u64,
+            "flush {round}: rejected"
+        );
+        assert_matches_engine(&snap, &engine, &format!("flush {round}"));
+    }
+    election.shutdown().expect("shutdown");
+}
+
+#[test]
 fn midrun_kill_recovers_some_accepted_prefix_exactly() {
     let n = 50;
     let dir = scratch("midrun-kill");

@@ -25,6 +25,7 @@
 //! repro serve --selftest       # host an election over the loopback wire codec
 //! repro serve --socket PATH    # ... or over a Unix domain socket (SIGTERM drains)
 //! repro perf-gate              # perfbench A/B against the base commit, same host
+//! repro perf-gate --only serve-epochs --pairs 10 --seconds 10  # one claim, more runs
 //! repro all --obs-summary      # append the ld-obs metrics table
 //! ```
 //!
@@ -151,9 +152,9 @@ static COMMANDS: &[Command] = &[
     },
     Command {
         name: "perf-gate",
-        usage: "usage: repro perf-gate",
+        usage: "usage: repro perf-gate [--only WORKLOAD[,WORKLOAD...]] [--pairs N] [--seconds S]",
         switches: "",
-        valued: "",
+        valued: "--only --pairs --seconds",
         check: perf_gate_command,
     },
 ];
@@ -1313,11 +1314,24 @@ fn serve(socket: Option<PathBuf>, n: u32, default_p: f64) -> ExitCode {
     }
 }
 
-/// Handles `repro perf-gate`, which takes no arguments: the same-host
-/// perfbench A/B of [`ld_sim::perf_gate`]. Exits 1 on a regression or a
-/// correctness failure, 2 when the gate cannot run.
-fn perf_gate_command(_: &Args) -> Result<Run, String> {
-    Ok(Box::new(|| match ld_sim::perf_gate::run() {
+/// Handles `repro perf-gate`: the same-host perfbench A/B of
+/// [`ld_sim::perf_gate`], on every workload with the gate's default
+/// pairs and run length unless `--only`, `--pairs` or `--seconds` say
+/// otherwise. Exits 1 on a regression or a correctness failure, 2 when
+/// the gate cannot run (an unknown workload included).
+fn perf_gate_command(a: &Args) -> Result<Run, String> {
+    use ld_sim::perf_gate::Plan;
+    let default = Plan::default();
+    let plan = Plan {
+        only: a.list("--only")?,
+        pairs: a
+            .get_with("--pairs", at_least_one)?
+            .unwrap_or(default.pairs),
+        seconds: a
+            .get_with("--seconds", at_least_one)?
+            .unwrap_or(default.seconds),
+    };
+    Ok(Box::new(move || match ld_sim::perf_gate::run(&plan) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {
@@ -1608,6 +1622,7 @@ mod tests {
         "serve --selftest --n 100 --default-p 0.6",
         "serve --socket s",
         "perf-gate",
+        "perf-gate --only serve-epochs,gain-dense-exact --pairs 10 --seconds 10",
     ];
 
     /// `(line, text the error must contain)`: for each command an
@@ -1677,6 +1692,12 @@ mod tests {
         ("serve --selftest --socket s", "--selftest"),
         ("perf-gate --quick", "--quick"),
         ("perf-gate base", "base"),
+        ("perf-gate --only", "--only needs a value"),
+        ("perf-gate --pairs 0", "--pairs"),
+        ("perf-gate --pairs ten", "--pairs"),
+        ("perf-gate --pairs", "--pairs needs a value"),
+        ("perf-gate --seconds 0", "--seconds"),
+        ("perf-gate --seconds -3", "--seconds"),
         ("conformance extra", "extra"),
     ];
 

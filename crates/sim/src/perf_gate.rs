@@ -5,13 +5,16 @@
 //! file has uncommitted changes, else `HEAD~1`. `git archive` exports it
 //! to `target/perf-gate/base`, so a killed run leaves nothing registered in
 //! `.git`. Both trees run `bash perfbench/run.sh … --trace 0` on every
-//! workload in `PAIRS` pairs; the runs of a pair share a seed, and pairs
-//! alternate which tree goes first, so a slow phase of the host falls on
-//! both sides alike. Each metric is judged by the median per-pair ratio
-//! candidate ÷ base and its seeded-bootstrap 95% CI: wholly beyond the
-//! bound fails, straddling it is "unresolved" and passes. A candidate run
-//! reporting `correct: false`, or more `failed` operations than the base,
-//! fails too.
+//! workload, or on the ones a [`Plan`] names, in 5 pairs of 3 s runs
+//! unless the plan sets other counts. The runs of a pair share a seed,
+//! and pairs alternate which tree goes first, so a slow phase of the
+//! host falls on both sides alike. Each pair's values
+//! go to stderr as the pair ends. Each metric is judged by the median
+//! per-pair ratio candidate ÷ base and its seeded-bootstrap 95% CI:
+//! wholly beyond the bound fails, straddling it is "unresolved" and
+//! passes; its row also counts the pairs the candidate won. A candidate
+//! run reporting `correct: false`, or more `failed` operations than the
+//! base, fails too.
 
 use ld_prob::rng::{Rng, StdRng};
 use ld_testkit::json::{self, Value};
@@ -19,9 +22,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-/// Run pairs per workload.
+/// Run pairs per workload, by default.
 const PAIRS: u64 = 5;
-/// Length of each perfbench run, in seconds.
+/// Length of each perfbench run in seconds, by default.
 const RUN_SECONDS: u32 = 3;
 /// Bootstrap resamples behind each CI.
 const RESAMPLES: usize = 2000;
@@ -119,12 +122,15 @@ enum Verdict {
     Regressed,
 }
 
-/// One metric's paired comparison: the medians of each side, the median
-/// per-pair ratio candidate ÷ base and its bootstrap 95% CI.
+/// One metric's paired comparison: the medians of each side, the pairs
+/// the candidate won, the median per-pair ratio candidate ÷ base and its
+/// bootstrap 95% CI.
 #[derive(Debug)]
 struct Judgement {
     base: f64,
     candidate: f64,
+    /// Pairs in which the candidate was strictly better.
+    wins: usize,
     ratio: f64,
     ci: (f64, f64),
     verdict: Verdict,
@@ -164,9 +170,15 @@ fn judge(metric: &Metric, base: &[f64], candidate: &[f64]) -> Judgement {
         (false, false) => Verdict::Within,
         _ => Verdict::Unresolved,
     };
+    let better = |&&ratio: &&f64| match metric.higher {
+        true => ratio > 1.0,
+        false => ratio < 1.0,
+    };
+    let wins = ratios.iter().filter(better).count();
     Judgement {
         base: median(base),
         candidate: median(candidate),
+        wins,
         ratio: median(&ratios),
         ci,
         verdict,
@@ -223,6 +235,45 @@ fn judge_workload(
     Ok((judgements, failures))
 }
 
+/// What one gate run measures.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Plan {
+    /// The workloads to run; `None` runs every one `BENCHMARK.json` lists.
+    pub only: Option<Vec<String>>,
+    /// Run pairs per workload.
+    pub pairs: u64,
+    /// Length of each perfbench run, in seconds.
+    pub seconds: u32,
+}
+
+impl Default for Plan {
+    fn default() -> Self {
+        Plan {
+            only: None,
+            pairs: PAIRS,
+            seconds: RUN_SECONDS,
+        }
+    }
+}
+
+impl Plan {
+    /// The workloads of `listed` (`BENCHMARK.json`'s, in its order) this
+    /// plan runs; an error naming any workload it asks for that is not
+    /// listed.
+    fn workloads<'a>(&self, listed: &'a [String]) -> Result<Vec<&'a String>, String> {
+        let Some(only) = &self.only else {
+            return Ok(listed.iter().collect());
+        };
+        if let Some(unknown) = only.iter().find(|w| !listed.contains(w)) {
+            return Err(format!(
+                "unknown workload {unknown:?} (BENCHMARK.json lists {})",
+                listed.join(", ")
+            ));
+        }
+        Ok(listed.iter().filter(|w| only.contains(w)).collect())
+    }
+}
+
 /// The base commit, given the tree's `git status --porcelain` output:
 /// `HEAD` when a tracked file has uncommitted changes (the working tree is
 /// the change under test), else `HEAD~1` (the last commit is). Untracked
@@ -236,62 +287,81 @@ fn base_rev(status: &str) -> &'static str {
     }
 }
 
-/// Runs the gate for the repository that holds the current directory,
-/// printing one table per workload and a verdict line. `Ok(true)` when
-/// every workload passes; `Err` when the gate could not run.
-pub fn run() -> Result<bool, String> {
+/// Runs the gate as `plan` says for the repository that holds the
+/// current directory, printing one table per workload and a verdict
+/// line. `Ok(true)` when every workload passes; `Err` when the gate
+/// could not run, an unknown workload included.
+pub fn run(plan: &Plan) -> Result<bool, String> {
     let root = PathBuf::from(git(Path::new("."), &["rev-parse", "--show-toplevel"])?.trim());
     let spec_path = root.join("BENCHMARK.json");
     let spec = fs::read_to_string(&spec_path)
         .map_err(|e| e.to_string())
         .and_then(|text| Spec::parse(&text))
         .map_err(|e| format!("{}: {e}", spec_path.display()))?;
+    let workloads = plan.workloads(&spec.workloads)?;
     let rev = base_rev(&git(&root, &["status", "--porcelain"])?);
     let commit = git(&root, &["rev-parse", "--short", rev])?;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!(
-        "perf-gate: candidate = working tree, base = {rev} ({}); {PAIRS} pairs of \
-         {RUN_SECONDS} s runs per workload on {cores} core(s)",
-        commit.trim()
+        "perf-gate: candidate = working tree, base = {rev} ({}); {} pairs of \
+         {} s runs per workload on {cores} core(s)",
+        commit.trim(),
+        plan.pairs,
+        plan.seconds
     );
     let base = root.join("target/perf-gate/base");
     export(&root, rev, &base)?;
-    let outcome = compare(&spec, &base, &root);
+    let outcome = compare(&spec.metrics, &workloads, plan, &base, &root);
     let _ = fs::remove_dir_all(&base);
     outcome
 }
 
-fn compare(spec: &Spec, base_tree: &Path, candidate_tree: &Path) -> Result<bool, String> {
+fn compare(
+    metrics: &[Metric],
+    workloads: &[&String],
+    plan: &Plan,
+    base_tree: &Path,
+    candidate_tree: &Path,
+) -> Result<bool, String> {
     let mut failures = Vec::new();
     let mut unresolved = 0;
-    for workload in &spec.workloads {
+    let pairs = plan.pairs;
+    for workload in workloads {
         let (mut base, mut candidate) = (Vec::new(), Vec::new());
-        for pair in 0..PAIRS {
+        for pair in 0..pairs {
             let seed = pair + 1;
-            eprintln!("perf-gate: {workload} pair {seed}/{PAIRS}");
+            eprintln!("perf-gate: {workload} pair {seed}/{pairs}");
             let base_first = pair % 2 == 0;
             for is_base in [base_first, !base_first] {
+                let tree = if is_base { base_tree } else { candidate_tree };
+                let run = perfbench(tree, workload, seed, plan.seconds)?;
                 if is_base {
-                    base.push(perfbench(base_tree, workload, seed)?);
+                    base.push(run);
                 } else {
-                    candidate.push(perfbench(candidate_tree, workload, seed)?);
+                    candidate.push(run);
                 }
             }
+            let (b, c) = (&base[base.len() - 1], &candidate[candidate.len() - 1]);
+            eprintln!(
+                "perf-gate: {workload} pair {seed}: {}",
+                pair_line(metrics, b, c)
+            );
         }
-        let (judgements, workload_failures) = judge_workload(&spec.metrics, &base, &candidate)?;
-        println!("## perf-gate: {workload}, candidate / base over {PAIRS} pairs");
+        let (judgements, workload_failures) = judge_workload(metrics, &base, &candidate)?;
+        println!("## perf-gate: {workload}, candidate / base over {pairs} pairs");
         println!(
-            "{:<12} {:>14} {:>14} {:>7} {:>16} {:>8}  verdict",
-            "metric", "base median", "cand. median", "ratio", "95% CI", "bound"
+            "{:<12} {:>14} {:>14} {:>7} {:>7} {:>16} {:>8}  verdict",
+            "metric", "base median", "cand. median", "wins", "ratio", "95% CI", "bound"
         );
-        for (m, j) in spec.metrics.iter().zip(&judgements) {
+        for (m, j) in metrics.iter().zip(&judgements) {
             let bound = match m.higher {
                 true => format!(">= {:.2}", 1.0 - m.bound),
                 false => format!("<= {:.2}", 1.0 + m.bound),
             };
             let ci = format!("[{:.3}, {:.3}]", j.ci.0, j.ci.1);
+            let wins = format!("{}/{pairs}", j.wins);
             println!(
-                "{:<12} {:>14.4} {:>14.4} {:>7.3} {ci:>16} {bound:>8}  {:?}",
+                "{:<12} {:>14.4} {:>14.4} {wins:>7} {:>7.3} {ci:>16} {bound:>8}  {:?}",
                 m.name, j.base, j.candidate, j.ratio, j.verdict
             );
         }
@@ -309,10 +379,23 @@ fn compare(spec: &Spec, base_tree: &Path, candidate_tree: &Path) -> Result<bool,
     Ok(failures.is_empty())
 }
 
+/// One pair's values, base -> candidate, metric by metric.
+fn pair_line(metrics: &[Metric], base: &RunResult, candidate: &RunResult) -> String {
+    let value = |run: &RunResult, name: &str| {
+        run.value(name)
+            .map_or("?".to_string(), |v| format!("{v:.4}"))
+    };
+    let values = metrics.iter().map(|m| {
+        let (b, c) = (value(base, &m.name), value(candidate, &m.name));
+        format!("{} {b} -> {c}", m.name)
+    });
+    values.collect::<Vec<_>>().join(", ")
+}
+
 /// One untraced perfbench run in `tree`; its last stdout line is the
 /// result. Each tree builds into its own default `.bench_build`.
-fn perfbench(tree: &Path, workload: &str, seed: u64) -> Result<RunResult, String> {
-    let (seed, seconds) = (seed.to_string(), RUN_SECONDS.to_string());
+fn perfbench(tree: &Path, workload: &str, seed: u64, seconds: u32) -> Result<RunResult, String> {
+    let (seed, seconds) = (seed.to_string(), seconds.to_string());
     let out = Command::new("bash")
         .arg("perfbench/run.sh")
         .args(["--workload", workload, "--seed", &seed])
@@ -395,8 +478,8 @@ mod tests {
         for m in metrics() {
             let j = judge(&m, &BASE, &BASE);
             assert_eq!(
-                (j.ratio, j.ci, j.verdict),
-                (1.0, (1.0, 1.0), Verdict::Within)
+                (j.wins, j.ratio, j.ci, j.verdict),
+                (0, 1.0, (1.0, 1.0), Verdict::Within)
             );
         }
         let same = runs(&BASE, &BASE, 0);
@@ -421,9 +504,13 @@ mod tests {
             slow.verdict == Verdict::Regressed && slow.ci.0 > 1.25,
             "{slow:?}"
         );
-        // The same factors the other way round are speed-ups.
-        assert_eq!(judge(ops, &BASE, &doubled).verdict, Verdict::Within);
-        assert_eq!(judge(latency, &BASE, &halved).verdict, Verdict::Within);
+        assert_eq!((judge(ops, &BASE, &halved).wins, slow.wins), (0, 0));
+        // The same factors the other way round are speed-ups, won in
+        // every pair.
+        let fast = judge(ops, &BASE, &doubled);
+        assert_eq!((fast.verdict, fast.wins), (Verdict::Within, 5));
+        let fast = judge(latency, &BASE, &halved);
+        assert_eq!((fast.verdict, fast.wins), (Verdict::Within, 5));
 
         let (base, candidate) = (runs(&BASE, &BASE, 0), runs(&halved, &doubled, 0));
         let (_, failures) = judge_workload(&metrics(), &base, &candidate).unwrap();
@@ -437,7 +524,7 @@ mod tests {
         let base = [100.0, 90.0, 110.0, 95.0, 105.0];
         let candidate = [50.0, 95.0, 120.0, 70.0, 100.0];
         let j = judge(&metrics()[0], &base, &candidate);
-        assert_eq!(j.verdict, Verdict::Unresolved, "{j:?}");
+        assert_eq!((j.verdict, j.wins), (Verdict::Unresolved, 2), "{j:?}");
         assert!(j.ci.0 < 0.75 && j.ci.1 > 0.75, "{j:?}");
         let (base, candidate) = (runs(&base, &BASE, 0), runs(&candidate, &BASE, 0));
         let (_, failures) = judge_workload(&metrics(), &base, &candidate).unwrap();
@@ -484,6 +571,30 @@ mod tests {
                 ("peak_rss_mb", false, 0.15)
             ]
         );
+    }
+
+    #[test]
+    fn a_plan_runs_the_workloads_it_names_in_benchmark_order() {
+        let listed: Vec<String> = ["dense", "sparse", "serve"].map(String::from).to_vec();
+        let names = |plan: &Plan| {
+            let picked = plan.workloads(&listed);
+            picked.map(|ws| ws.iter().map(|w| w.as_str()).collect::<Vec<_>>())
+        };
+        assert_eq!(
+            names(&Plan::default()),
+            Ok(vec!["dense", "sparse", "serve"])
+        );
+        let only = |names: &[&str]| Plan {
+            only: Some(names.iter().map(|w| w.to_string()).collect()),
+            ..Plan::default()
+        };
+        assert_eq!(names(&only(&["serve"])), Ok(vec!["serve"]));
+        assert_eq!(
+            names(&only(&["serve", "dense", "serve"])),
+            Ok(vec!["dense", "serve"])
+        );
+        let unknown = names(&only(&["serve", "serve-epoch"])).unwrap_err();
+        assert!(unknown.contains("\"serve-epoch\""), "{unknown}");
     }
 
     #[test]
