@@ -28,6 +28,9 @@ cargo test --release -q -p ld-testkit --test direct_dp_differential -- --ignored
 echo "==> large-n Algorithm 1 differential (run vs act loop, resolve vs recursive oracle; K_n at 2^17, 8-regular at 2^16)"
 cargo test --release -q -p ld-testkit --test algorithm1_large_n -- --ignored
 
+echo "==> rustdoc clean (no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -197,7 +197,7 @@ impl WeightedBernoulliSum {
     /// Two bands of `cur` are tracked: outside its nonzero support the
     /// result is 0 with no arithmetic, and where both inputs are below
     /// `f64::MIN_POSITIVE` the entry is computed exactly in integers
-    /// (see [`SubnormalScale`]), because subnormal floating-point
+    /// (the private `SubnormalScale`), because subnormal floating-point
     /// arithmetic is an order of magnitude slower on common hardware and
     /// long sums keep thousands of subnormal entries in their tails. The
     /// rest are branch-free zips over disjoint slices, which the compiler

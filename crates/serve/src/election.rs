@@ -1,28 +1,40 @@
-//! One hosted election: ingest applied on arrival, batched WAL writes,
-//! epoch publish.
+//! One hosted election: ingest applied in drained runs, batched WAL
+//! writes, epoch publish.
 //!
 //! # Threading model
 //!
 //! ```text
-//!  submit() ──mpsc──▶ sequencer thread ──apply on arrival──▶ LiveEngine
-//!                     (window: one WAL write,                  │ barrier: sync,
-//!                      publish cadence)                        ▼ compact, tally, commit
-//!                                     Arc<EpochSnapshot>  ◀── snapshot() (readers)
+//!  submit() ──mpsc──▶ sequencer thread ──drained run: one apply_batch──▶ LiveEngine
+//!                     (window: one WAL write,                             │
+//!                      publish cadence)                                   ▼ barrier
+//!                          WAL fsync (scoped helper) ‖ tally (sequencer),
+//!                          then compact, commit to epochs.log, swap
+//!                                          Arc<EpochSnapshot> ◀── snapshot() (readers)
 //! ```
 //!
-//! The sequencer is the election's only writer. It applies every update
-//! to its [`LiveEngine`] as it arrives, in arrival order; the engine's
-//! own validation decides acceptance and rejects are counted. The
-//! ingest window batches only what must be batched: the accepted updates
-//! wait in one reusable buffer and go to the WAL (when durable) as one
-//! `write(2)` when the window ends, and the window count sets the
-//! publish cadence. A window ends at its deadline, at `max_batch`
-//! updates, on a flush, or when ingest closes. So a flush finds the
-//! window in flight already applied and goes straight to the barrier.
+//! The sequencer is the election's only writer. Whenever it takes an
+//! update off the queue it also drains every update already queued
+//! behind it (up to `max_batch` per window) without reading the clock,
+//! and applies that run to its [`LiveEngine`] as one
+//! [`LiveEngine::apply_batch`]: the batch accepts exactly the updates
+//! that applying them one at a time, in arrival order, would, and the
+//! rejects are counted from its report. A lone update is a run of one,
+//! so there is one apply path. Only when the queue is empty does the
+//! sequencer read the clock and wait, up to the window's deadline, for
+//! more.
+//!
+//! The ingest window batches only what must be batched: the accepted
+//! updates wait in one reusable buffer, in arrival order, and go to the
+//! WAL (when durable) as one `write(2)` when the window ends, and the
+//! window count sets the publish cadence. A window ends at its
+//! deadline, at `max_batch` updates, on a flush, or when ingest closes.
+//! So a flush finds the window in flight already applied and goes
+//! straight to the barrier.
 //!
 //! Every `publish_every` windows (and on every flush) the sequencer runs
-//! the epoch barrier: the WAL fsyncs and may compact, the published
-//! tally is built from the engine in one pass, the epoch commits to
+//! the epoch barrier. A scoped helper thread fsyncs the WAL while the
+//! sequencer builds the published tally from the engine in one pass;
+//! once both are done the WAL may compact, the epoch commits to
 //! `epochs.log` (when durable), and the new [`EpochSnapshot`] is swapped
 //! in behind a briefly-held write lock. So every applied update is in
 //! the synced WAL before the epoch that covers it commits. Readers clone
@@ -41,7 +53,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -75,8 +87,8 @@ pub struct ElectionConfig {
     pub competences: Option<Vec<f64>>,
     /// Ingest window: how long after a window's first update the
     /// sequencer keeps collecting accepted updates for one WAL write.
-    /// Updates are applied as they arrive either way; a flush ends the
-    /// window early.
+    /// Updates are applied as soon as they are drained either way; a
+    /// flush ends the window early.
     pub window: Duration,
     /// Hard cap on updates per window.
     pub max_batch: usize,
@@ -160,9 +172,21 @@ struct Published {
     latency_ns: ld_obs::Histogram,
 }
 
+type FlushReply = Sender<Result<Arc<EpochSnapshot>, String>>;
+
 enum Msg {
     Update(Update, Instant),
-    Flush(Sender<Result<Arc<EpochSnapshot>, String>>),
+    Flush(FlushReply),
+    Kill,
+}
+
+/// How an ingest window ended.
+enum WindowEnd {
+    /// Its deadline passed, it reached `max_batch`, or ingest closed.
+    Done,
+    /// A flush arrived; it is answered once the window is logged.
+    Flush(FlushReply),
+    /// A kill arrived; the window is dropped unlogged.
     Kill,
 }
 
@@ -510,9 +534,11 @@ struct Sequencer {
     published: Arc<Published>,
     applied: u64,
     rejected: u64,
-    /// Ingest times of the updates applied since the last publish;
+    /// Ingest times of the updates received since the last publish;
     /// empty once the election has failed.
     stamps: Vec<Instant>,
+    /// Updates received but not yet applied: the run in flight.
+    run: Vec<Update>,
     /// The open window's accepted updates in arrival order: already in
     /// the engine, not yet in the WAL.
     pending: Vec<Update>,
@@ -574,6 +600,7 @@ impl Sequencer {
             applied,
             rejected,
             stamps: Vec::new(),
+            run: Vec::new(),
             pending: Vec::new(),
             windows: 0,
             failure: None,
@@ -587,34 +614,14 @@ impl Sequencer {
         loop {
             match self.rx.recv() {
                 Ok(Msg::Update(update, at)) => {
-                    self.apply(update, at);
-                    let mut len = 1;
-                    let deadline = Instant::now() + self.window;
-                    let mut flush_reply = None;
-                    while len < self.max_batch {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        match self.rx.recv_timeout(deadline - now) {
-                            Ok(Msg::Update(u, t)) => {
-                                self.apply(u, t);
-                                len += 1;
-                            }
-                            Ok(Msg::Flush(reply)) => {
-                                flush_reply = Some(reply);
-                                break;
-                            }
-                            // Crash semantics: the window in flight is
-                            // lost, applied but never logged.
-                            Ok(Msg::Kill) => return self.failure,
-                            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                                break
-                            }
-                        }
+                    let (len, end) = self.collect_window(update, at);
+                    // Crash semantics: the window in flight is lost,
+                    // applied but never logged.
+                    if matches!(end, WindowEnd::Kill) {
+                        return self.failure;
                     }
                     self.log_window(len);
-                    if let Some(reply) = flush_reply {
+                    if let WindowEnd::Flush(reply) = end {
                         let _ = reply.send(self.barrier_and_publish());
                     } else if self.publish_every > 0 && self.windows >= self.publish_every {
                         let _ = self.barrier_and_publish();
@@ -636,24 +643,84 @@ impl Sequencer {
         }
     }
 
-    /// Applies one update as it arrives; the engine's validation decides
-    /// acceptance, and an accepted update waits in `pending` for the
-    /// window's WAL write.
-    fn apply(&mut self, update: Update, at: Instant) {
+    /// Collects and applies the window that `first` opens. Whatever is
+    /// already queued is drained without reading the clock and applied
+    /// as one run; only then does the sequencer wait, up to the window's
+    /// deadline, for more. Returns the window's update count and how it
+    /// ended.
+    fn collect_window(&mut self, first: Update, at: Instant) -> (usize, WindowEnd) {
+        let deadline = Instant::now() + self.window;
+        self.receive(first, at);
+        let mut len = 1;
+        loop {
+            let end = loop {
+                if len >= self.max_batch {
+                    break Some(WindowEnd::Done);
+                }
+                match self.rx.try_recv() {
+                    Ok(Msg::Update(u, t)) => {
+                        self.receive(u, t);
+                        len += 1;
+                    }
+                    Ok(Msg::Flush(reply)) => break Some(WindowEnd::Flush(reply)),
+                    Ok(Msg::Kill) => return (len, WindowEnd::Kill),
+                    Err(TryRecvError::Empty) => break None,
+                    Err(TryRecvError::Disconnected) => break Some(WindowEnd::Done),
+                }
+            };
+            self.apply_run();
+            if let Some(end) = end {
+                return (len, end);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return (len, WindowEnd::Done);
+            }
+            match self.rx.recv_timeout(deadline - now) {
+                Ok(Msg::Update(u, t)) => {
+                    self.receive(u, t);
+                    len += 1;
+                }
+                Ok(Msg::Flush(reply)) => return (len, WindowEnd::Flush(reply)),
+                Ok(Msg::Kill) => return (len, WindowEnd::Kill),
+                // A disconnect is seen again by `run`'s next `recv`.
+                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
+                    return (len, WindowEnd::Done)
+                }
+            }
+        }
+    }
+
+    /// Queues one received update for the next run, taking its latency
+    /// stamp.
+    fn receive(&mut self, update: Update, at: Instant) {
         // A failed election never publishes again, so nothing would
         // close a latency stamp taken now.
         if self.failure.is_none() {
             self.stamps.push(at);
         }
-        if self.engine.apply(update).is_ok() {
-            self.pending.push(update);
-        } else {
-            self.rejected += 1;
-            self.obs.rejected.incr();
-        }
+        self.run.push(update);
     }
 
-    /// Ends a window of `len` applied updates: its accepted ones go to
+    /// Applies the queued run as one [`LiveEngine::apply_batch`], which
+    /// accepts exactly what applying the updates one at a time would.
+    /// The accepted ones wait in `pending`, in arrival order, for the
+    /// window's WAL write; the rejected ones are counted.
+    fn apply_run(&mut self) {
+        let report = self.engine.apply_batch(&self.run);
+        let mut rejected = report.rejected.iter().map(|&(k, _)| k).peekable();
+        for (k, &update) in self.run.iter().enumerate() {
+            if rejected.next_if_eq(&k).is_none() {
+                self.pending.push(update);
+            }
+        }
+        let rejects = report.rejected.len() as u64;
+        self.rejected += rejects;
+        self.obs.rejected.add(rejects);
+        self.run.clear();
+    }
+
+    /// Ends a window of `len` received updates: its accepted ones go to
     /// the WAL as one `append_batch`, in arrival order.
     fn log_window(&mut self, len: usize) {
         self.obs.window_updates.record(len as u64);
@@ -720,13 +787,16 @@ impl Sequencer {
     /// Makes the engine's state durable and commits it as the next
     /// epoch, returning the epoch number and its tally.
     fn commit(&mut self) -> Result<(u64, PublishedTally), String> {
-        if let Some(store) = self.store.as_mut() {
-            store.sync().map_err(|e| format!("wal sync: {e}"))?;
-            store
-                .maybe_compact(&self.engine)
-                .map_err(|e| format!("compact: {e}"))?;
-        }
-        let tally = PublishedTally::of(&self.engine);
+        let tally = match self.store.as_mut() {
+            Some(store) => {
+                let tally = sync_beside_tally(store, &self.engine)?;
+                store
+                    .maybe_compact(&self.engine)
+                    .map_err(|e| format!("compact: {e}"))?;
+                tally
+            }
+            None => PublishedTally::of(&self.engine),
+        };
         let epoch = self.published.epoch.load(Ordering::Acquire) + 1;
         if let Some(log) = self.epoch_log.as_mut() {
             log.append(&EpochEntry {
@@ -742,6 +812,27 @@ impl Sequencer {
     }
 }
 
+/// Fsyncs the WAL on a scoped helper thread while this thread builds
+/// the tally, so the barrier waits for the longer of the two instead of
+/// their sum. Should no helper thread be available, it syncs first and
+/// then tallies.
+fn sync_beside_tally(store: &mut Store, engine: &LiveEngine) -> Result<PublishedTally, String> {
+    let overlapped = std::thread::scope(|scope| {
+        let helper = std::thread::Builder::new()
+            .name("ld-serve-wal-sync".to_string())
+            .spawn_scoped(scope, || store.sync())
+            .ok()?;
+        let tally = PublishedTally::of(engine);
+        let synced = helper
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        Some((synced, tally))
+    });
+    let (synced, tally) = overlapped.unwrap_or_else(|| (store.sync(), PublishedTally::of(engine)));
+    synced.map_err(|e| format!("wal sync: {e}"))?;
+    Ok(tally)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,16 +842,17 @@ mod tests {
         LiveEngine::new(vec![Action::Vote; n], vec![0.5; n]).expect("engine")
     }
 
-    /// Applies a window of `len` always-accepted competence updates on
-    /// arrival, without ending it.
+    /// Receives `len` always-accepted competence updates and applies
+    /// them as one run, without ending the window.
     fn apply_updates(seq: &mut Sequencer, n: usize, len: usize) {
         for k in 0..len {
             let update = Update::Competence {
                 voter: k % n,
                 p: 0.75,
             };
-            seq.apply(update, Instant::now());
+            seq.receive(update, Instant::now());
         }
+        seq.apply_run();
     }
 
     /// Applies and logs one window of `len` such updates.
@@ -830,6 +922,10 @@ mod tests {
             let ops = clock.ops();
             apply_updates(&mut seq, n, 8);
             assert_eq!(clock.ops(), ops, "applying touches no file");
+            assert!(
+                seq.run.is_empty(),
+                "the run went to the engine as one batch"
+            );
             assert_eq!(seq.pending.len(), 8, "applied, waiting for the WAL");
             seq.log_window(8);
             assert_eq!(clock.ops(), ops + 1, "one window, one WAL write");

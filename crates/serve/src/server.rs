@@ -25,7 +25,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::election::{Election, ElectionConfig};
-use crate::wire::{error_code, read_frame, write_frame, Request, Response, WireError, WireTally};
+use crate::wire::{
+    check_frame, encode_frame, error_code, parse_header, Request, Response, WireError, WireTally,
+    FRAME_HEADER_LEN,
+};
 use crate::{IdentityError, ServeError};
 
 /// A transport-agnostic host for multiple named elections.
@@ -223,28 +226,27 @@ impl<'a> LoopbackClient<'a> {
     }
 
     /// Encodes `request`, decodes it, dispatches it, and round-trips
-    /// the response — byte-identical to one socket exchange.
+    /// the response — byte-identical to one socket exchange. Each
+    /// direction builds its frame in one buffer and decodes from it.
     ///
     /// # Errors
     ///
     /// [`WireError`] if either direction fails to round-trip (a codec
     /// bug, which the conformance suite would flag).
     pub fn call(&self, request: &Request) -> Result<Response, WireError> {
-        let mut frame = Vec::new();
-        let mut payload = Vec::new();
-        request.encode(&mut payload);
-        write_frame(&mut frame, &payload)?;
-        let echoed = read_frame(&mut frame.as_slice())?.ok_or(WireError::Truncated)?;
-        let decoded = Request::decode(&echoed)?;
+        let mut frame = Vec::with_capacity(LOOPBACK_FRAME_CAPACITY);
+        encode_frame(&mut frame, |out| request.encode(out))?;
+        let decoded = Request::decode(check_frame(&frame)?.0)?;
         let response = self.host.handle(&decoded);
-        let mut back = Vec::new();
-        let mut resp_payload = Vec::new();
-        response.encode(&mut resp_payload);
-        write_frame(&mut back, &resp_payload)?;
-        let got = read_frame(&mut back.as_slice())?.ok_or(WireError::Truncated)?;
-        Response::decode(&got)
+        frame.clear();
+        encode_frame(&mut frame, |out| response.encode(out))?;
+        Response::decode(check_frame(&frame)?.0)
     }
 }
+
+/// Bytes a loopback frame buffer starts with: room for the largest
+/// fixed-size message (a tally response), so a call does not regrow it.
+const LOOPBACK_FRAME_CAPACITY: usize = 128;
 
 /// The process-wide SIGTERM latch used by [`install_sigterm_flag`].
 static SIGTERM: AtomicBool = AtomicBool::new(false);
@@ -315,19 +317,28 @@ pub fn serve_unix(
 }
 
 /// Handles one connection: frames in, frames out, until the peer hangs
-/// up, the stop flag trips, or the peer asks for shutdown.
+/// up, the stop flag trips, or the peer asks for shutdown. Each frame is
+/// read into one reused buffer and checked there; each response frame
+/// is built in another and sent with one write.
 #[cfg(unix)]
 fn serve_connection(host: &Host, mut stream: impl Read + Write, stop: &AtomicBool) {
+    let (mut inbound, mut outbound) = (Vec::new(), Vec::new());
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        let payload = match read_frame_patient(&mut stream, stop) {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(_) => return,
+        // A frame that cannot be read or fails its check ends the
+        // connection: the stream can no longer be trusted to be in step.
+        if !matches!(
+            read_frame_patient(&mut stream, &mut inbound, stop),
+            Ok(true)
+        ) {
+            return;
+        }
+        let Ok((payload, _)) = check_frame(&inbound) else {
+            return;
         };
-        let response = match Request::decode(&payload) {
+        let response = match Request::decode(payload) {
             Ok(request) => {
                 let r = host.handle(&request);
                 if matches!(request, Request::Shutdown) {
@@ -340,9 +351,13 @@ fn serve_connection(host: &Host, mut stream: impl Read + Write, stop: &AtomicBoo
                 message: e.to_string(),
             },
         };
-        let mut out = Vec::new();
-        response.encode(&mut out);
-        if write_frame(&mut stream, &out).is_err() {
+        outbound.clear();
+        if encode_frame(&mut outbound, |out| response.encode(out)).is_err()
+            || stream
+                .write_all(&outbound)
+                .and_then(|()| stream.flush())
+                .is_err()
+        {
             return;
         }
         if matches!(response, Response::Bye) {
@@ -351,23 +366,25 @@ fn serve_connection(host: &Host, mut stream: impl Read + Write, stop: &AtomicBoo
     }
 }
 
-/// Like [`read_frame`], but tolerates read timeouts *between* frames
-/// (checking the stop flag) while treating a timeout *inside* a frame
-/// as fatal truncation. Keeps idle connections responsive to SIGTERM.
+/// Reads one whole frame into `frame`, header included; its CRC is left
+/// to [`check_frame`]. Read timeouts *between* frames are tolerated and
+/// check the stop flag, which keeps idle connections responsive to
+/// SIGTERM. Returns `Ok(false)` on a clean hang-up or a stop between
+/// frames.
 #[cfg(unix)]
 fn read_frame_patient(
     stream: &mut impl Read,
+    frame: &mut Vec<u8>,
     stop: &AtomicBool,
-) -> Result<Option<Vec<u8>>, WireError> {
-    use crate::wire::FRAME_HEADER_LEN;
-
-    let mut header = [0u8; FRAME_HEADER_LEN];
+) -> Result<bool, WireError> {
+    frame.clear();
+    frame.resize(FRAME_HEADER_LEN, 0);
     let mut got = 0;
-    while got < header.len() {
-        match stream.read(&mut header[got..]) {
+    while got < FRAME_HEADER_LEN {
+        match stream.read(&mut frame[got..]) {
             Ok(0) => {
                 return if got == 0 {
-                    Ok(None)
+                    Ok(false)
                 } else {
                     Err(WireError::Truncated)
                 };
@@ -381,26 +398,20 @@ fn read_frame_patient(
                     ) =>
             {
                 if stop.load(Ordering::SeqCst) {
-                    return Ok(None);
+                    return Ok(false);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(WireError::Io(e)),
         }
     }
-    // Header complete: delegate the rest to the strict reader by
-    // re-assembling a chained stream.
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let stored = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if len > crate::wire::MAX_WIRE_PAYLOAD {
-        return Err(WireError::Oversized { len });
-    }
-    let mut payload = vec![0u8; len as usize];
-    let mut at = 0;
-    while at < payload.len() {
-        match stream.read(&mut payload[at..]) {
+    // An oversized claim is refused before its payload is allocated.
+    let (len, _) = parse_header(frame.first_chunk().expect("header read"))?;
+    frame.resize(FRAME_HEADER_LEN + len, 0);
+    while got < frame.len() {
+        match stream.read(&mut frame[got..]) {
             Ok(0) => return Err(WireError::Truncated),
-            Ok(k) => at += k,
+            Ok(k) => got += k,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -411,16 +422,13 @@ fn read_frame_patient(
             Err(e) => return Err(WireError::Io(e)),
         }
     }
-    let computed = ld_store::crc::crc32(&payload);
-    if computed != stored {
-        return Err(WireError::Crc { stored, computed });
-    }
-    Ok(Some(payload))
+    Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{read_frame, write_frame};
     use crate::MAX_VOTERS;
     use ld_live::Update;
 

@@ -8,6 +8,14 @@
 //! the CRC happens to collide. [`Update`] payloads reuse
 //! [`ld_live::codec`] verbatim — the service logs the exact bytes it
 //! receives, so wire format and WAL format can never drift apart.
+//!
+//! There is one frame codec. Every encoder writes the same header
+//! (length, capped at [`MAX_WIRE_PAYLOAD`], and CRC): [`encode_frame`]
+//! builds a frame in place in one buffer (the loopback and the socket
+//! loop), [`write_frame`] sends one from a payload with one write. Every
+//! reader applies the same checks: [`check_frame`] validates a frame in
+//! place (the loopback and the socket loop) and [`read_frame`] reads and
+//! validates one from a stream, with the same typed [`WireError`]s.
 
 use ld_live::codec::{decode_update, encode_update};
 use ld_live::Update;
@@ -507,22 +515,100 @@ impl Response {
     }
 }
 
-/// Writes one `[len][crc][payload]` frame.
+/// The header of a frame around `payload`: its length, checked against
+/// [`MAX_WIRE_PAYLOAD`], and its CRC32. Every frame encoder writes it.
+fn frame_header(payload: &[u8]) -> Result<[u8; FRAME_HEADER_LEN], WireError> {
+    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+    if len > MAX_WIRE_PAYLOAD {
+        return Err(WireError::Oversized { len });
+    }
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(header)
+}
+
+/// Parses a frame header into the payload length it claims (checked
+/// against [`MAX_WIRE_PAYLOAD`]) and the CRC it stores.
+pub(crate) fn parse_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<(usize, u32), WireError> {
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+    if len > MAX_WIRE_PAYLOAD {
+        return Err(WireError::Oversized { len });
+    }
+    let stored = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+    Ok((len as usize, stored))
+}
+
+/// Checks `payload` against the CRC its header stored.
+fn check_crc(payload: &[u8], stored: u32) -> Result<(), WireError> {
+    let computed = crc32(payload);
+    if computed == stored {
+        Ok(())
+    } else {
+        Err(WireError::Crc { stored, computed })
+    }
+}
+
+/// Appends one `[len][crc][payload]` frame to `out`, the payload written
+/// in place by `encode` and the header filled in after it, so the frame
+/// is built in one buffer.
+///
+/// # Errors
+///
+/// [`WireError::Oversized`] if the payload exceeds the cap; `out` is
+/// then left as it was.
+pub fn encode_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), WireError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    encode(out);
+    match frame_header(&out[start + FRAME_HEADER_LEN..]) {
+        Ok(header) => {
+            out[start..start + FRAME_HEADER_LEN].copy_from_slice(&header);
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
+}
+
+/// Checks the frame at the front of `bytes` in place — header, length
+/// cap, completeness and CRC, with the same typed errors as
+/// [`read_frame`] — and returns its payload and the bytes after it.
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] when `bytes` ends inside the frame, plus
+/// length and checksum violations.
+pub fn check_frame(bytes: &[u8]) -> Result<(&[u8], &[u8]), WireError> {
+    let header = bytes
+        .first_chunk::<FRAME_HEADER_LEN>()
+        .ok_or(WireError::Truncated)?;
+    let (len, stored) = parse_header(header)?;
+    let body = &bytes[FRAME_HEADER_LEN..];
+    if body.len() < len {
+        return Err(WireError::Truncated);
+    }
+    let (payload, rest) = body.split_at(len);
+    check_crc(payload, stored)?;
+    Ok((payload, rest))
+}
+
+/// Writes one `[len][crc][payload]` frame with a single `write_all`.
 ///
 /// # Errors
 ///
 /// [`WireError::Oversized`] if the payload exceeds the cap, otherwise
 /// stream I/O errors.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    let len = u32::try_from(payload.len()).map_err(|_| WireError::Oversized { len: u32::MAX })?;
-    if len > MAX_WIRE_PAYLOAD {
-        return Err(WireError::Oversized { len });
-    }
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+    let header = frame_header(payload)?;
+    // The cap bounds a frame, so it is assembled on the stack.
+    let mut frame = [0u8; FRAME_HEADER_LEN + MAX_WIRE_PAYLOAD as usize];
+    let end = FRAME_HEADER_LEN + payload.len();
+    frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
+    frame[FRAME_HEADER_LEN..end].copy_from_slice(payload);
+    w.write_all(&frame[..end])?;
     w.flush()?;
     Ok(())
 }
@@ -553,12 +639,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
             Err(e) => return Err(WireError::Io(e)),
         }
     }
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let stored = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if len > MAX_WIRE_PAYLOAD {
-        return Err(WireError::Oversized { len });
-    }
-    let mut payload = vec![0u8; len as usize];
+    let (len, stored) = parse_header(&header)?;
+    let mut payload = vec![0u8; len];
     r.read_exact(&mut payload).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             WireError::Truncated
@@ -566,10 +648,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
             WireError::Io(e)
         }
     })?;
-    let computed = crc32(&payload);
-    if computed != stored {
-        return Err(WireError::Crc { stored, computed });
-    }
+    check_crc(&payload, stored)?;
     Ok(Some(payload))
 }
 
@@ -637,25 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn requests_and_responses_round_trip_through_frames() {
-        for req in requests() {
-            let mut payload = Vec::new();
-            req.encode(&mut payload);
-            let mut stream = Vec::new();
-            write_frame(&mut stream, &payload).expect("write");
-            let got = read_frame(&mut stream.as_slice())
-                .expect("read")
-                .expect("one frame");
-            assert_eq!(Request::decode(&got).expect("decode"), req);
-        }
-        for resp in responses() {
-            let mut payload = Vec::new();
-            resp.encode(&mut payload);
-            assert_eq!(Response::decode(&payload).expect("decode"), resp);
-        }
-    }
-
-    #[test]
     fn several_frames_stream_back_to_back() {
         let mut stream = Vec::new();
         for req in requests() {
@@ -669,6 +729,111 @@ mod tests {
             assert_eq!(Request::decode(&got).expect("decode"), req);
         }
         assert!(read_frame(&mut r).expect("eof").is_none(), "clean end");
+    }
+
+    /// Frames one message both ways — `write_frame` over its payload and
+    /// `encode_frame` in place, as the loopback does — checks that the
+    /// bytes agree and that both readers give the payload back, and
+    /// returns it.
+    fn framed_payload(encode: &dyn Fn(&mut Vec<u8>)) -> Vec<u8> {
+        let mut payload = Vec::new();
+        encode(&mut payload);
+        let mut written = Vec::new();
+        write_frame(&mut written, &payload).expect("write");
+        let mut built = vec![0xEE]; // appends after what is there
+        encode_frame(&mut built, encode).expect("encode");
+        assert_eq!(built[1..], written[..], "one frame, one byte layout");
+        assert_eq!(
+            check_frame(&written).expect("check"),
+            (&payload[..], &[][..])
+        );
+        let read = read_frame(&mut written.as_slice()).expect("read");
+        assert_eq!(read.as_ref(), Some(&payload));
+        payload
+    }
+
+    #[test]
+    fn requests_and_responses_round_trip_through_frames() {
+        for req in requests() {
+            let payload = framed_payload(&|out| req.encode(out));
+            assert_eq!(Request::decode(&payload).expect("decode"), req);
+        }
+        for resp in responses() {
+            let payload = framed_payload(&|out| resp.encode(out));
+            assert_eq!(Response::decode(&payload).expect("decode"), resp);
+        }
+        // An oversized payload leaves the buffer as it was.
+        let mut out = vec![1, 2, 3];
+        let too_big = |o: &mut Vec<u8>| o.resize(o.len() + MAX_WIRE_PAYLOAD as usize + 1, 0);
+        assert!(matches!(
+            encode_frame(&mut out, too_big),
+            Err(WireError::Oversized { len }) if len == MAX_WIRE_PAYLOAD + 1
+        ));
+        assert_eq!(out, [1, 2, 3]);
+    }
+
+    /// Every frame in `bytes`, read with [`read_frame`].
+    fn frames_read(mut bytes: &[u8]) -> Result<Vec<Vec<u8>>, WireError> {
+        let mut frames = Vec::new();
+        while let Some(payload) = read_frame(&mut bytes)? {
+            frames.push(payload);
+        }
+        Ok(frames)
+    }
+
+    /// Every frame in `bytes`, checked in place with [`check_frame`].
+    fn frames_checked(mut bytes: &[u8]) -> Result<Vec<Vec<u8>>, WireError> {
+        let mut frames = Vec::new();
+        while !bytes.is_empty() {
+            let (payload, rest) = check_frame(bytes)?;
+            frames.push(payload.to_vec());
+            bytes = rest;
+        }
+        Ok(frames)
+    }
+
+    #[test]
+    fn corrupt_frames_fail_alike_in_place_and_from_a_stream() {
+        let mut payload = Vec::new();
+        Request::Flush { election: 7 }.encode(&mut payload);
+        let mut good = Vec::new();
+        write_frame(&mut good, &payload).expect("write");
+        let with = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = good.clone();
+            edit(&mut bytes);
+            bytes
+        };
+        let bad_crc = with(&|b| *b.last_mut().expect("payload") ^= 0x40);
+        let oversized = with(&|b| b[..4].copy_from_slice(&(MAX_WIRE_PAYLOAD + 1).to_le_bytes()));
+        // (case, bytes, the `Debug` form of the error both must give)
+        let oversized_error = format!("Oversized {{ len: {} }}", MAX_WIRE_PAYLOAD + 1);
+        let cases = [
+            ("bad CRC", bad_crc, "Crc {"),
+            ("length above the cap", oversized, &oversized_error),
+            ("truncated header", good[..5].to_vec(), "Truncated"),
+            (
+                "truncated payload",
+                good[..good.len() - 2].to_vec(),
+                "Truncated",
+            ),
+            // The bytes after a frame start another that never ends.
+            (
+                "trailing bytes",
+                with(&|b| b.extend_from_slice(&[9, 9, 9])),
+                "Truncated",
+            ),
+        ];
+        for (what, bytes, expected) in cases {
+            let (read, checked) = (frames_read(&bytes), frames_checked(&bytes));
+            let (Err(read), Err(checked)) = (&read, &checked) else {
+                panic!("{what}: read {read:?}, checked {checked:?}");
+            };
+            let (read, checked) = (format!("{read:?}"), format!("{checked:?}"));
+            assert!(read.starts_with(expected), "{what}: read_frame gave {read}");
+            assert_eq!(read, checked, "{what}");
+        }
+        assert_eq!(frames_checked(&good).expect("good"), [payload.clone()]);
+        assert_eq!(frames_read(&good).expect("good"), [payload]);
     }
 
     #[test]

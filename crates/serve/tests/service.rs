@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use ld_core::delegation::Action;
 use ld_core::tally::TieBreak;
-use ld_live::{LiveEngine, Update};
+use ld_live::{LiveEngine, RejectReason, Update};
 use ld_serve::epochs::{EpochLog, EPOCHS_FILE};
 use ld_serve::{tally_digest, Election, ElectionConfig, Host, Request, Response, ServeError};
 
@@ -291,6 +291,106 @@ fn a_flush_mid_window_covers_every_prior_submit_without_waiting_out_the_window()
         assert_matches_engine(&snap, &engine, &format!("flush {round}"));
     }
     election.shutdown().expect("shutdown");
+}
+
+/// Accepted churn with one update of every reject kind after each
+/// four: an out-of-range voter, an out-of-range target, a delegation
+/// that closes a cycle, and a competence outside `[0, 1]`.
+fn churn_with_every_reject(n: usize, ops: usize, seed: u64) -> Vec<Update> {
+    let mut out = Vec::with_capacity(ops);
+    let mut k = 0u64;
+    while out.len() < ops {
+        let r = splitmix64(seed ^ k.wrapping_mul(0x9E37_79B9));
+        let voter = (r >> 8) as usize % n;
+        let target = (voter + 1 + (r >> 32) as usize % 5) % n;
+        out.push(match k % 5 {
+            4 => match (k / 5) % 4 {
+                0 => Update::Vote { voter: n + voter },
+                1 => Update::Delegate {
+                    voter,
+                    target: n + target,
+                },
+                // Follows `voter -> target` below when that was
+                // accepted, so the reverse edge closes a cycle.
+                2 => Update::Delegate {
+                    voter: target,
+                    target: voter,
+                },
+                _ => Update::Competence {
+                    voter,
+                    p: if r.is_multiple_of(2) { 1.5 } else { -0.25 },
+                },
+            },
+            3 => Update::Delegate { voter, target },
+            2 => Update::Competence {
+                voter,
+                p: ((r >> 16) % 1000) as f64 / 1000.0,
+            },
+            1 => Update::Vote { voter },
+            _ => Update::Abstain { voter },
+        });
+        k += 1;
+    }
+    out
+}
+
+#[test]
+fn long_drained_runs_with_rejects_match_the_oracle_and_log_in_arrival_order() {
+    let n = 120;
+    let dir = scratch("drained-runs");
+    let updates = churn_with_every_reject(n, 6000, 0xD2A1);
+    // The oracle, one update at a time; every reject kind must occur.
+    let mut engine = LiveEngine::new(vec![Action::Vote; n], vec![0.5; n]).expect("oracle engine");
+    let (mut accepted, mut kinds) = (Vec::new(), [0usize; 4]);
+    for &u in &updates {
+        match engine.apply(u) {
+            Ok(_) => accepted.push(u),
+            Err(reason) => {
+                kinds[match reason {
+                    RejectReason::VoterOutOfRange { .. } => 0,
+                    RejectReason::TargetOutOfRange { .. } => 1,
+                    RejectReason::WouldCreateCycle { .. } => 2,
+                    RejectReason::InvalidCompetence { .. } => 3,
+                }] += 1;
+            }
+        }
+    }
+    assert!(kinds.iter().all(|&k| k > 0), "reject kinds {kinds:?}");
+
+    let mut cfg = ElectionConfig::new(n as u32);
+    // Only `max_batch`, a Flush or shutdown ends a window this long, so
+    // the burst queues up behind the sequencer and is drained in runs.
+    cfg.window = Duration::from_secs(10);
+    cfg.publish_every = 0;
+    cfg.dir = Some(dir.clone());
+    let election = Election::create(&cfg).expect("create durable");
+    for &u in &updates {
+        election.submit(u).expect("submit");
+    }
+    let snap = election.flush().expect("flush");
+    assert_matches_engine(&snap, &engine, "drained runs");
+    assert_eq!(snap.applied, accepted.len() as u64, "applied");
+    assert_eq!(
+        snap.rejected,
+        (updates.len() - accepted.len()) as u64,
+        "rejected"
+    );
+    election.shutdown().expect("shutdown");
+
+    let store = dir.join("shard-0");
+    let recovered = ld_store::recover(&store).expect("uncapped store recovery");
+    assert_eq!(recovered.records, accepted.len() as u64, "WAL records");
+    assert_eq!(
+        recovered.engine.weights(),
+        engine.weights(),
+        "replayed state"
+    );
+    let wal = ld_store::wal::read_wal(&store.join(ld_store::WAL_FILE)).expect("read WAL");
+    assert!(
+        wal.scan.updates == accepted,
+        "the WAL holds exactly the accepted updates, in arrival order"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -246,7 +246,7 @@ pub fn prepare_cell(cell: &DynCell, master: u64) -> Result<PreparedCell> {
 }
 
 /// Evaluates one round's proposals in parallel: voters are split into
-/// [`VOTER_CHUNK`]-sized chunks claimed from an atomic counter, each
+/// chunks of `VOTER_CHUNK` voters claimed from an atomic counter, each
 /// chunk runs the same pure [`ld_live::dynamics::best_move`] the serial
 /// reference runs, and the per-chunk results are concatenated in
 /// canonical chunk order — so the output is bit-identical to

@@ -178,7 +178,7 @@ impl Engine {
     }
 
     /// Estimates `gain(M, G)` with `trials` mechanism draws scheduled in
-    /// [`TRIAL_CHUNK`]-sized chunks over the workers. Deterministic for a
+    /// chunks of `TRIAL_CHUNK` trials over the workers. Deterministic for a
     /// fixed `(seed, trials)` pair — bit-identical across worker counts
     /// and chunk interleavings (see the module docs for why).
     ///

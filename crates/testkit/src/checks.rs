@@ -65,7 +65,7 @@ pub enum CheckId {
     NormalEnvelope,
     /// Voter-relabeling equivariance of resolution and tally.
     RelabelEquivariance,
-    /// P[correct] under direct voting is monotone in competency.
+    /// P\[correct\] under direct voting is monotone in competency.
     Monotonicity,
     /// Mechanism choices are unchanged by edits outside the voter's
     /// neighbourhood.
