@@ -92,6 +92,26 @@ cargo test -q -p ld-sim --test scheduler_determinism
 echo "==> golden snapshot tests (rendering stability)"
 cargo test -q -p ld-sim --test snapshot_report
 
+echo "==> pins across builds (a -C target-cpu=native release build prints the baseline build's digest and verdict lines)"
+# Each pinned command's output, less what varies from run to run: table
+# rules (their width follows the widest cell) and serve-bench's
+# throughput, latency and epoch-count columns. `verify --quick --seed 1`
+# fails its dynamics claim (best-response dynamics need not reach a
+# fixpoint at every seed), so an exit status is part of the compared
+# output instead of stopping the script.
+pinned_output() {
+  for cmd in "verify --quick --seed 1" "dynamics --quick" "ranked --quick" \
+      "serve --selftest" "serve-bench --quick --seed 3"; do
+    echo "== repro $cmd"
+    # shellcheck disable=SC2086 # $cmd splits into its arguments on purpose
+    "$1" $cmd 2>&1 || echo "exit status $?"
+  done | grep -v '^--' | awk '/upd\/s/ { print; getline; $4 = $5 = $6 = $7 = "-" } { print }'
+}
+RUSTFLAGS="-C target-cpu=native" cargo build --release --target-dir target/native
+pinned_output ./target/release/repro > target/pins-baseline.txt
+pinned_output ./target/native/release/repro > target/pins-native.txt
+diff target/pins-baseline.txt target/pins-native.txt
+
 echo "==> perfbench tests (its own workspace: builds against the crates' public API)"
 cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
 

@@ -9,16 +9,26 @@
 //! reconstructing exactly the engine state behind the last published
 //! epoch — and the digest proves it, bit for bit.
 //!
+//! `epochs.log` is an [`ld_store::log::AppendLog`], framed by the one
+//! codec the WAL also uses, after an 8-byte magic. The two differ in
+//! policy: the WAL truncates at its first bad frame, because its writer
+//! keeps appending after a silently damaged record, while each epoch
+//! record is fsynced before the next, so only a torn final record (or a
+//! torn magic) is a crash artifact and is truncated, and damage to an
+//! earlier one is an error naming its byte offset.
+//!
 //! Both files keep the layout of the earlier multi-shard service with
 //! the shard count fixed at 1: `serve.meta` stores `shards = 1` and
 //! each epoch record one count, so existing election directories open
 //! unchanged.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::fs::File;
+use std::io::Write;
+use std::path::Path;
 
 use ld_store::crc::crc32;
+use ld_store::log::AppendLog;
+use ld_store::StoreError;
 
 use crate::{ServeError, MAX_VOTERS};
 
@@ -30,7 +40,6 @@ pub const META_FILE: &str = "serve.meta";
 
 const EPOCHS_MAGIC: [u8; 8] = *b"LDEPO\x1a\x00\x01";
 const META_MAGIC: [u8; 8] = *b"LDSRV\x1a\x00\x01";
-const FRAME_HEADER_LEN: usize = 8;
 
 /// The shard count the on-disk formats record; always 1.
 const SHARDS: u32 = 1;
@@ -82,97 +91,33 @@ impl EpochEntry {
     }
 }
 
-/// The append-only epoch log.
+/// The append-only epoch log: an [`AppendLog`] of [`EpochEntry`]
+/// frames.
 #[derive(Debug)]
 pub struct EpochLog {
-    file: File,
-    path: PathBuf,
+    log: AppendLog,
     last: Option<EpochEntry>,
 }
 
 impl EpochLog {
     /// Opens (or creates) `epochs.log` at `path`, replaying committed
-    /// entries. A torn final record (crash mid-append) is truncated;
-    /// interior corruption and records of another shape are errors.
+    /// entries. A torn final record (crash mid-append) is truncated, and
+    /// so is a torn magic (crash mid-creation); interior corruption and
+    /// records of another shape are errors.
     ///
     /// # Errors
     ///
     /// [`ServeError::Meta`] on structural violations, [`ServeError::Io`]
     /// on filesystem failure.
     pub fn open(path: &Path) -> Result<EpochLog, ServeError> {
-        let io = |op: &'static str| ServeError::io(op, path);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-            .map_err(io("open epoch log"))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(io("read epoch log"))?;
         let mut last = None;
-        let valid_len = if bytes.is_empty() {
-            file.write_all(&EPOCHS_MAGIC)
-                .map_err(io("write epoch header"))?;
-            file.sync_data().map_err(io("sync epoch header"))?;
-            EPOCHS_MAGIC.len() as u64
-        } else {
-            if bytes.len() < EPOCHS_MAGIC.len() || bytes[..EPOCHS_MAGIC.len()] != EPOCHS_MAGIC {
-                return Err(ServeError::Meta {
-                    path: path.to_path_buf(),
-                    reason: "bad epoch log magic".to_string(),
-                });
-            }
-            let record_len = FRAME_HEADER_LEN + EpochEntry::PAYLOAD_LEN;
-            let mut at = EPOCHS_MAGIC.len();
-            loop {
-                let rest = &bytes[at..];
-                if rest.is_empty() {
-                    break;
-                }
-                if rest.len() < record_len {
-                    break; // torn tail
-                }
-                let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
-                let stored = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-                if len != EpochEntry::PAYLOAD_LEN {
-                    return Err(ServeError::Meta {
-                        path: path.to_path_buf(),
-                        reason: format!("epoch record at byte {at} claims {len} bytes"),
-                    });
-                }
-                let payload = &rest[FRAME_HEADER_LEN..record_len];
-                if crc32(payload) != stored {
-                    if rest.len() == record_len {
-                        break; // torn final record
-                    }
-                    return Err(ServeError::Meta {
-                        path: path.to_path_buf(),
-                        reason: format!("CRC mismatch in epoch record at byte {at}"),
-                    });
-                }
-                let entry = EpochEntry::decode(payload).map_err(|reason| ServeError::Meta {
-                    path: path.to_path_buf(),
-                    reason,
-                })?;
-                last = Some(entry);
-                at += record_len;
-            }
-            let valid = at as u64;
-            if valid < bytes.len() as u64 {
-                file.set_len(valid)
-                    .map_err(io("truncate torn epoch tail"))?;
-                file.sync_data().map_err(io("sync truncated epoch log"))?;
-            }
-            valid
-        };
-        file.seek(SeekFrom::Start(valid_len))
-            .map_err(io("seek epoch log"))?;
-        Ok(EpochLog {
-            file,
-            path: path.to_path_buf(),
-            last,
+        let lens = EpochEntry::PAYLOAD_LEN as u32..=EpochEntry::PAYLOAD_LEN as u32;
+        let log = AppendLog::open(path, EPOCHS_MAGIC, lens, |payload| {
+            last = Some(EpochEntry::decode(payload)?);
+            Ok::<_, String>(())
         })
+        .map_err(log_error)?;
+        Ok(EpochLog { log, last })
     }
 
     /// The last committed epoch, if any.
@@ -188,21 +133,21 @@ impl EpochLog {
     /// [`ServeError::Io`] on append failure (the entry is then *not*
     /// committed; recovery falls back to the previous epoch).
     pub fn append(&mut self, entry: &EpochEntry) -> Result<(), ServeError> {
-        let mut payload = Vec::with_capacity(EpochEntry::PAYLOAD_LEN);
-        entry.encode(&mut payload);
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        let path = self.path.clone();
-        self.file
-            .write_all(&frame)
-            .map_err(ServeError::io("append epoch record", &path))?;
-        self.file
-            .sync_data()
-            .map_err(ServeError::io("sync epoch record", &path))?;
+        self.log
+            .append(|out| entry.encode(out))
+            .map_err(log_error)?;
         self.last = Some(entry.clone());
         Ok(())
+    }
+}
+
+/// An epoch-log error as a [`ServeError`]: damage is
+/// [`ServeError::Meta`], a filesystem failure [`ServeError::Io`].
+fn log_error(e: StoreError) -> ServeError {
+    match e {
+        StoreError::Io { op, path, source } => ServeError::Io { op, path, source },
+        StoreError::Corrupt { path, reason } => ServeError::Meta { path, reason },
+        e => ServeError::Store(e),
     }
 }
 
@@ -284,6 +229,7 @@ impl Meta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let dir =

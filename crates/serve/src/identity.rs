@@ -4,18 +4,25 @@
 //! (`0..n`), but clients hold opaque identity keys — public keys,
 //! account handles, whatever the deployment uses. The [`IdentityMap`]
 //! interns keys to ids first-come-first-served; [`IdentityLog`] makes
-//! the assignment durable with the same length-prefixed CRC framing as
-//! the `ld-store` WAL, so a restarted service hands every returning key
-//! the exact id its votes were logged under. Losing that mapping would
-//! silently re-key the electorate, which is why registration fsyncs
-//! per entry (registration is rare; updates are the hot path).
+//! the assignment durable as an [`ld_store::log::AppendLog`] — the same
+//! frame codec as the `ld-store` WAL, one key per frame — so a restarted
+//! service hands every returning key the exact id its votes were logged
+//! under. Losing that mapping would silently re-key the electorate,
+//! which is why registration fsyncs per entry (registration is rare;
+//! updates are the hot path).
+//!
+//! The log's policy differs from the WAL's. The WAL truncates at its
+//! first bad frame, because its writer keeps appending after a silently
+//! damaged record; each identity record is fsynced before the next, so
+//! only a torn final record (or a torn magic) is a crash artifact and is
+//! truncated, and a damaged earlier record, which would re-key every
+//! voter after it, is an error naming its byte offset.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use ld_store::crc::crc32;
+use ld_store::log::AppendLog;
+use ld_store::StoreError;
 
 /// Longest accepted identity key, in bytes. Generous for hashes and
 /// handles while keeping wire frames and log records small.
@@ -26,9 +33,6 @@ pub const IDENTITY_FILE: &str = "identity.log";
 
 /// Magic + version header of the identity log.
 const IDENTITY_MAGIC: [u8; 8] = *b"LDIDN\x1a\x00\x01";
-
-/// Frame header: payload length (`u32`) + payload CRC32 (`u32`).
-const FRAME_HEADER_LEN: usize = 8;
 
 /// Why a key could not be registered or replayed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,25 +121,14 @@ impl IdentityMap {
         }
     }
 
-    /// Validates a key without registering it.
-    fn check_key(key: &[u8]) -> Result<(), IdentityError> {
+    /// The id `key` would be registered to, without registering it.
+    fn admit(&self, key: &[u8]) -> Result<u32, IdentityError> {
         if key.is_empty() {
             return Err(IdentityError::EmptyKey);
         }
         if key.len() > MAX_KEY_LEN {
             return Err(IdentityError::KeyTooLong { len: key.len() });
         }
-        Ok(())
-    }
-
-    /// Interns `key`, returning its fresh dense id.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`IdentityError`] for duplicates, empty or oversized keys,
-    /// and a full electorate; the map is unchanged on error.
-    pub fn register(&mut self, key: &[u8]) -> Result<u32, IdentityError> {
-        Self::check_key(key)?;
         if let Some(&id) = self.ids.get(key) {
             return Err(IdentityError::Duplicate { id });
         }
@@ -145,6 +138,17 @@ impl IdentityMap {
                 capacity: self.capacity,
             });
         }
+        Ok(id)
+    }
+
+    /// Interns `key`, returning its fresh dense id.
+    ///
+    /// # Errors
+    ///
+    /// Typed [`IdentityError`] for duplicates, empty or oversized keys,
+    /// and a full electorate; the map is unchanged on error.
+    pub fn register(&mut self, key: &[u8]) -> Result<u32, IdentityError> {
+        let id = self.admit(key)?;
         let owned: Box<[u8]> = key.into();
         self.ids.insert(owned.clone(), id);
         self.keys.push(owned);
@@ -187,15 +191,15 @@ impl IdentityMap {
 #[derive(Debug)]
 pub struct IdentityLog {
     map: IdentityMap,
-    file: File,
-    path: PathBuf,
+    log: AppendLog,
 }
 
 impl IdentityLog {
     /// Opens (or creates) the identity log at `path`, replaying every
     /// whole record into a fresh map of `capacity` ids. A torn tail —
-    /// the crash mid-append case — is truncated away, mirroring the WAL
-    /// recovery contract; a corrupt *interior* record is an error.
+    /// the crash mid-append case — is truncated away, and so is a torn
+    /// magic (a crash mid-creation); a corrupt *interior* record is an
+    /// error.
     ///
     /// # Errors
     ///
@@ -203,93 +207,16 @@ impl IdentityLog {
     /// header or an interior record fails validation or the log holds
     /// more keys than `capacity`.
     pub fn open(path: &Path, capacity: u32) -> Result<IdentityLog, IdentityError> {
-        let io = |op: &'static str| {
-            let path = path.to_path_buf();
-            move |e: std::io::Error| IdentityError::Io {
-                op,
-                path: path.clone(),
-                message: e.to_string(),
-            }
-        };
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-            .map_err(io("open identity log"))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)
-            .map_err(io("read identity log"))?;
         let mut map = IdentityMap::with_capacity(capacity);
-        let valid_len = if bytes.is_empty() {
-            file.write_all(&IDENTITY_MAGIC)
-                .map_err(io("write identity header"))?;
-            file.sync_data().map_err(io("sync identity header"))?;
-            IDENTITY_MAGIC.len() as u64
-        } else {
-            if bytes.len() < IDENTITY_MAGIC.len() || bytes[..IDENTITY_MAGIC.len()] != IDENTITY_MAGIC
-            {
-                return Err(IdentityError::Corrupt {
-                    path: path.to_path_buf(),
-                    reason: "bad magic or truncated header".to_string(),
-                });
-            }
-            let mut at = IDENTITY_MAGIC.len();
-            // Scan whole frames; stop (and truncate) at the first torn
-            // tail, but treat a bad CRC on a *complete* frame that is
-            // followed by more data as corruption, not a crash artifact.
-            loop {
-                let rest = &bytes[at..];
-                if rest.is_empty() {
-                    break;
-                }
-                if rest.len() < FRAME_HEADER_LEN {
-                    break; // torn header
-                }
-                let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
-                let stored = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-                if len == 0 || len > MAX_KEY_LEN {
-                    return Err(IdentityError::Corrupt {
-                        path: path.to_path_buf(),
-                        reason: format!("record at byte {at} claims {len}-byte key"),
-                    });
-                }
-                if rest.len() < FRAME_HEADER_LEN + len {
-                    break; // torn payload
-                }
-                let payload = &rest[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len];
-                if crc32(payload) != stored {
-                    if rest.len() == FRAME_HEADER_LEN + len {
-                        break; // torn final frame: payload half-written
-                    }
-                    return Err(IdentityError::Corrupt {
-                        path: path.to_path_buf(),
-                        reason: format!("CRC mismatch in interior record at byte {at}"),
-                    });
-                }
-                map.register(payload).map_err(|e| IdentityError::Corrupt {
-                    path: path.to_path_buf(),
-                    reason: format!("replayed record rejected: {e}"),
-                })?;
-                at += FRAME_HEADER_LEN + len;
-            }
-            let valid = at as u64;
-            if valid < bytes.len() as u64 {
-                file.set_len(valid)
-                    .map_err(io("truncate torn identity tail"))?;
-                file.sync_data()
-                    .map_err(io("sync truncated identity log"))?;
-            }
-            valid
-        };
-        file.seek(SeekFrom::Start(valid_len))
-            .map_err(io("seek identity log"))?;
-        Ok(IdentityLog {
-            map,
-            file,
-            path: path.to_path_buf(),
+        // One frame per registration: its payload is the key.
+        let key_lens = 1..=MAX_KEY_LEN as u32;
+        let log = AppendLog::open(path, IDENTITY_MAGIC, key_lens, |key| {
+            map.register(key)
+                .map(drop)
+                .map_err(|e| format!("replayed record rejected: {e}"))
         })
+        .map_err(log_error)?;
+        Ok(IdentityLog { map, log })
     }
 
     /// Registers a key durably: the log record is appended and fsynced
@@ -301,32 +228,10 @@ impl IdentityLog {
     /// Validation errors from [`IdentityMap::register`], or
     /// [`IdentityError::Io`] if the append fails (the map is unchanged).
     pub fn register(&mut self, key: &[u8]) -> Result<u32, IdentityError> {
-        IdentityMap::check_key(key)?;
-        if let Some(&id) = self.map.ids.get(key) {
-            return Err(IdentityError::Duplicate { id });
-        }
-        if self.map.len() >= self.map.capacity {
-            return Err(IdentityError::Full {
-                capacity: self.map.capacity,
-            });
-        }
-        let log_path = self.path.clone();
-        let io = move |op: &'static str| {
-            let path = log_path.clone();
-            move |e: std::io::Error| IdentityError::Io {
-                op,
-                path: path.clone(),
-                message: e.to_string(),
-            }
-        };
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + key.len());
-        frame.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(key).to_le_bytes());
-        frame.extend_from_slice(key);
-        self.file
-            .write_all(&frame)
-            .map_err(io("append identity record"))?;
-        self.file.sync_data().map_err(io("sync identity record"))?;
+        self.map.admit(key)?;
+        self.log
+            .append(|out| out.extend_from_slice(key))
+            .map_err(log_error)?;
         self.map.register(key)
     }
 
@@ -337,9 +242,28 @@ impl IdentityLog {
     }
 }
 
+/// An identity-log error as an [`IdentityError`]: damage is
+/// [`IdentityError::Corrupt`], a filesystem failure [`IdentityError::Io`].
+fn log_error(e: StoreError) -> IdentityError {
+    match e {
+        StoreError::Corrupt { path, reason } => IdentityError::Corrupt { path, reason },
+        StoreError::Io { op, path, source } => IdentityError::Io {
+            op,
+            path,
+            message: source.to_string(),
+        },
+        // An append log fails only with the two above.
+        e => IdentityError::Corrupt {
+            path: PathBuf::new(),
+            reason: e.to_string(),
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ld_store::log::FRAME_HEADER_LEN;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =

@@ -26,8 +26,8 @@ use std::time::Duration;
 
 use crate::election::{Election, ElectionConfig};
 use crate::wire::{
-    check_frame, encode_frame, error_code, parse_header, Request, Response, WireError, WireTally,
-    FRAME_HEADER_LEN,
+    check_frame, encode_frame, error_code, read_checked_frame, Request, Response, WireError,
+    WireTally,
 };
 use crate::{IdentityError, ServeError};
 
@@ -329,13 +329,7 @@ fn serve_connection(host: &Host, mut stream: impl Read + Write, stop: &AtomicBoo
         }
         // A frame that cannot be read or fails its check ends the
         // connection: the stream can no longer be trusted to be in step.
-        if !matches!(
-            read_frame_patient(&mut stream, &mut inbound, stop),
-            Ok(true)
-        ) {
-            return;
-        }
-        let Ok((payload, _)) = check_frame(&inbound) else {
+        let Ok(Some(payload)) = read_checked_frame(&mut stream, &mut inbound, Some(stop)) else {
             return;
         };
         let response = match Request::decode(payload) {
@@ -364,65 +358,6 @@ fn serve_connection(host: &Host, mut stream: impl Read + Write, stop: &AtomicBoo
             return;
         }
     }
-}
-
-/// Reads one whole frame into `frame`, header included; its CRC is left
-/// to [`check_frame`]. Read timeouts *between* frames are tolerated and
-/// check the stop flag, which keeps idle connections responsive to
-/// SIGTERM. Returns `Ok(false)` on a clean hang-up or a stop between
-/// frames.
-#[cfg(unix)]
-fn read_frame_patient(
-    stream: &mut impl Read,
-    frame: &mut Vec<u8>,
-    stop: &AtomicBool,
-) -> Result<bool, WireError> {
-    frame.clear();
-    frame.resize(FRAME_HEADER_LEN, 0);
-    let mut got = 0;
-    while got < FRAME_HEADER_LEN {
-        match stream.read(&mut frame[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(false)
-                } else {
-                    Err(WireError::Truncated)
-                };
-            }
-            Ok(k) => got += k,
-            Err(e)
-                if got == 0
-                    && matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(false);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    // An oversized claim is refused before its payload is allocated.
-    let (len, _) = parse_header(frame.first_chunk().expect("header read"))?;
-    frame.resize(FRAME_HEADER_LEN + len, 0);
-    while got < frame.len() {
-        match stream.read(&mut frame[got..]) {
-            Ok(0) => return Err(WireError::Truncated),
-            Ok(k) => got += k,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    Ok(true)
 }
 
 #[cfg(test)]

@@ -1,26 +1,32 @@
 //! The compact binary wire protocol of the election service.
 //!
 //! Every message travels as one frame — `[len: u32][crc32: u32]` then
-//! `len` payload bytes, little-endian, the same framing discipline as
-//! the `ld-store` WAL (and reusing its CRC32). Payloads open with a tag
-//! byte; request tags sit below `0x80`, response tags at or above it,
-//! so a stream desynchronisation is caught by the tag check even when
-//! the CRC happens to collide. [`Update`] payloads reuse
-//! [`ld_live::codec`] verbatim — the service logs the exact bytes it
-//! receives, so wire format and WAL format can never drift apart.
+//! `len` payload bytes, little-endian — of [`ld_store::log`], the one
+//! frame codec the WAL, `epochs.log` and `identity.log` also use.
+//! Payloads open with a tag byte; request tags sit below `0x80`,
+//! response tags at or above it, so a stream desynchronisation is
+//! caught by the tag check even when the CRC happens to collide.
+//! [`Update`] payloads reuse [`ld_live::codec`] verbatim — the service
+//! logs the exact bytes it receives, so wire and WAL can never drift.
 //!
-//! There is one frame codec. Every encoder writes the same header
-//! (length, capped at [`MAX_WIRE_PAYLOAD`], and CRC): [`encode_frame`]
-//! builds a frame in place in one buffer (the loopback and the socket
-//! loop), [`write_frame`] sends one from a payload with one write. Every
-//! reader applies the same checks: [`check_frame`] validates a frame in
-//! place (the loopback and the socket loop) and [`read_frame`] reads and
-//! validates one from a stream, with the same typed [`WireError`]s.
+//! Every encoder writes the codec's header (length, capped at
+//! [`MAX_WIRE_PAYLOAD`], and CRC): [`encode_frame`] builds a frame in
+//! place in one buffer (the loopback and the socket loop), [`write_frame`]
+//! sends one from a payload with one write. Every reader applies the
+//! codec's checks: [`check_frame`] validates a frame in place (the
+//! loopback and the socket loop) and [`read_frame`] reads and validates
+//! one from a stream, with the same typed [`WireError`]s, mapped from
+//! the codec's [`FrameError`]. Unlike the logs — the WAL truncates at
+//! its first bad frame, `epochs.log` and `identity.log` only at a torn
+//! final one — a stream has no torn-tail policy: any bad frame ends the
+//! connection, since the peer can no longer be trusted to be in step.
 
 use ld_live::codec::{decode_update, encode_update};
 use ld_live::Update;
-use ld_store::crc::crc32;
-use std::io::{Read, Write};
+use ld_store::log::{self, FrameError};
+use std::io::{ErrorKind, Read, Write};
+use std::ops::RangeInclusive;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::identity::MAX_KEY_LEN;
 
@@ -28,8 +34,10 @@ use crate::identity::MAX_KEY_LEN;
 /// bounded identity key or error string never legitimately exceeds it.
 pub const MAX_WIRE_PAYLOAD: u32 = 512;
 
-/// Frame header length: payload length + CRC32, both `u32` LE.
-pub const FRAME_HEADER_LEN: usize = 8;
+pub use ld_store::log::FRAME_HEADER_LEN;
+
+/// The payload lengths a wire frame may claim.
+const WIRE_LENS: RangeInclusive<u32> = 0..=MAX_WIRE_PAYLOAD;
 
 const TAG_CREATE: u8 = 0x01;
 const TAG_REGISTER: u8 = 0x02;
@@ -102,6 +110,18 @@ impl std::error::Error for WireError {
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
+    }
+}
+
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::TruncatedHeader { .. } | FrameError::TruncatedPayload { .. } => {
+                WireError::Truncated
+            }
+            FrameError::BadLength(len) => WireError::Oversized { len },
+            FrameError::CrcMismatch { stored, computed } => WireError::Crc { stored, computed },
+        }
     }
 }
 
@@ -363,22 +383,15 @@ impl Request {
                 c.done()?;
                 Ok(req)
             }
-            TAG_REGISTER => {
+            TAG_REGISTER | TAG_LOOKUP => {
                 let election = c.u32()?;
                 let key = c.rest();
                 check_key(key)?;
-                Ok(Request::Register {
-                    election,
-                    key: key.to_vec(),
-                })
-            }
-            TAG_LOOKUP => {
-                let election = c.u32()?;
-                let key = c.rest();
-                check_key(key)?;
-                Ok(Request::Lookup {
-                    election,
-                    key: key.to_vec(),
+                let key = key.to_vec();
+                Ok(if tag == TAG_REGISTER {
+                    Request::Register { election, key }
+                } else {
+                    Request::Lookup { election, key }
                 })
             }
             TAG_SUBMIT => {
@@ -515,40 +528,6 @@ impl Response {
     }
 }
 
-/// The header of a frame around `payload`: its length, checked against
-/// [`MAX_WIRE_PAYLOAD`], and its CRC32. Every frame encoder writes it.
-fn frame_header(payload: &[u8]) -> Result<[u8; FRAME_HEADER_LEN], WireError> {
-    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-    if len > MAX_WIRE_PAYLOAD {
-        return Err(WireError::Oversized { len });
-    }
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[..4].copy_from_slice(&len.to_le_bytes());
-    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    Ok(header)
-}
-
-/// Parses a frame header into the payload length it claims (checked
-/// against [`MAX_WIRE_PAYLOAD`]) and the CRC it stores.
-pub(crate) fn parse_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<(usize, u32), WireError> {
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    if len > MAX_WIRE_PAYLOAD {
-        return Err(WireError::Oversized { len });
-    }
-    let stored = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-    Ok((len as usize, stored))
-}
-
-/// Checks `payload` against the CRC its header stored.
-fn check_crc(payload: &[u8], stored: u32) -> Result<(), WireError> {
-    let computed = crc32(payload);
-    if computed == stored {
-        Ok(())
-    } else {
-        Err(WireError::Crc { stored, computed })
-    }
-}
-
 /// Appends one `[len][crc][payload]` frame to `out`, the payload written
 /// in place by `encode` and the header filled in after it, so the frame
 /// is built in one buffer.
@@ -558,19 +537,8 @@ fn check_crc(payload: &[u8], stored: u32) -> Result<(), WireError> {
 /// [`WireError::Oversized`] if the payload exceeds the cap; `out` is
 /// then left as it was.
 pub fn encode_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), WireError> {
-    let start = out.len();
-    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
-    encode(out);
-    match frame_header(&out[start + FRAME_HEADER_LEN..]) {
-        Ok(header) => {
-            out[start..start + FRAME_HEADER_LEN].copy_from_slice(&header);
-            Ok(())
-        }
-        Err(e) => {
-            out.truncate(start);
-            Err(e)
-        }
-    }
+    log::encode_frame(out, &WIRE_LENS, encode)?;
+    Ok(())
 }
 
 /// Checks the frame at the front of `bytes` in place — header, length
@@ -582,17 +550,7 @@ pub fn encode_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Res
 /// [`WireError::Truncated`] when `bytes` ends inside the frame, plus
 /// length and checksum violations.
 pub fn check_frame(bytes: &[u8]) -> Result<(&[u8], &[u8]), WireError> {
-    let header = bytes
-        .first_chunk::<FRAME_HEADER_LEN>()
-        .ok_or(WireError::Truncated)?;
-    let (len, stored) = parse_header(header)?;
-    let body = &bytes[FRAME_HEADER_LEN..];
-    if body.len() < len {
-        return Err(WireError::Truncated);
-    }
-    let (payload, rest) = body.split_at(len);
-    check_crc(payload, stored)?;
-    Ok((payload, rest))
+    Ok(log::check_frame(bytes, &WIRE_LENS)?)
 }
 
 /// Writes one `[len][crc][payload]` frame with a single `write_all`.
@@ -602,13 +560,9 @@ pub fn check_frame(bytes: &[u8]) -> Result<(&[u8], &[u8]), WireError> {
 /// [`WireError::Oversized`] if the payload exceeds the cap, otherwise
 /// stream I/O errors.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    let header = frame_header(payload)?;
-    // The cap bounds a frame, so it is assembled on the stack.
-    let mut frame = [0u8; FRAME_HEADER_LEN + MAX_WIRE_PAYLOAD as usize];
-    let end = FRAME_HEADER_LEN + payload.len();
-    frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
-    frame[FRAME_HEADER_LEN..end].copy_from_slice(payload);
-    w.write_all(&frame[..end])?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    encode_frame(&mut frame, |out| out.extend_from_slice(payload))?;
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -623,33 +577,52 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
 /// [`WireError::Truncated`] when the stream dies inside a frame, plus
 /// checksum/length violations and I/O errors.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + MAX_WIRE_PAYLOAD as usize);
+    if read_checked_frame(r, &mut frame, None)?.is_none() {
+        return Ok(None);
+    }
+    frame.drain(..FRAME_HEADER_LEN);
+    Ok(Some(frame))
+}
+
+/// Reads one whole frame into `frame`, header included, refusing a bad
+/// length before the payload is allocated, checks it there with
+/// [`check_frame`], and returns its payload; `None` on a clean hang-up
+/// between frames. With a `stop` flag the read is patient: read
+/// timeouts are retried, and between frames they check the flag and
+/// return `None` once it is set, which keeps an idle connection
+/// responsive to SIGTERM.
+pub(crate) fn read_checked_frame<'a>(
+    r: &mut impl Read,
+    frame: &'a mut Vec<u8>,
+    stop: Option<&AtomicBool>,
+) -> Result<Option<&'a [u8]>, WireError> {
+    frame.clear();
+    frame.resize(FRAME_HEADER_LEN, 0);
     let mut got = 0;
-    while got < header.len() {
-        match r.read(&mut header[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(None)
-                } else {
-                    Err(WireError::Truncated)
-                };
-            }
+    while got < frame.len() {
+        match r.read(&mut frame[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => return Err(WireError::Truncated),
             Ok(k) => got += k,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e)
+                if stop.is_some()
+                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+            {
+                if got == 0 && stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
+                    return Ok(None);
+                }
+            }
             Err(e) => return Err(WireError::Io(e)),
         }
-    }
-    let (len, stored) = parse_header(&header)?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Truncated
-        } else {
-            WireError::Io(e)
+        if got == FRAME_HEADER_LEN {
+            let header = frame.first_chunk().expect("header read");
+            let (len, _) = log::parse_header(header, &WIRE_LENS)?;
+            frame.resize(FRAME_HEADER_LEN + len, 0);
         }
-    })?;
-    check_crc(&payload, stored)?;
-    Ok(Some(payload))
+    }
+    Ok(Some(check_frame(frame)?.0))
 }
 
 #[cfg(test)]

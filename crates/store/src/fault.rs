@@ -114,11 +114,6 @@ impl FaultPlan {
             kind,
         }
     }
-
-    /// Whether this plan ever fires.
-    pub fn is_armed(&self) -> bool {
-        self.at != u64::MAX
-    }
 }
 
 /// The store-wide operation counter a plan is evaluated against.

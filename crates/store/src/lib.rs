@@ -3,6 +3,9 @@
 //! The rest of the workspace keeps all state in RAM. This crate makes
 //! the delegation stream itself durable, production-log style:
 //!
+//! * [`log`] — the one `[len][crc32][payload]` frame codec of the WAL,
+//!   `ld-serve`'s `epochs.log` and `identity.log`, and its wire, plus
+//!   the fsync-per-frame [`log::AppendLog`] those two logs are.
 //! * [`wal`] — an append-only write-ahead log of
 //!   [`Update`](ld_live::Update) events: length-prefixed,
 //!   CRC32-framed records ([`ld_live::codec`] payloads), immediate
@@ -40,6 +43,7 @@
 
 pub mod crc;
 pub mod fault;
+pub mod log;
 pub mod snapshot;
 pub mod store;
 pub mod wal;

@@ -129,15 +129,29 @@ impl Store {
     /// Propagates [`recover`] and WAL-reopen failures.
     pub fn resume(dir: &Path, opts: StoreOptions) -> Result<(Store, Recovery), StoreError> {
         let recovery = recover(dir)?;
-        let clock = FaultClock::new(opts.fault);
         // Trust the prefix the recovery snapshot covered so the reopen
         // truncates at the same point recovery just reported.
+        let (tail_at, covered) = (recovery.tail_offset, recovery.snapshot_applied);
+        Self::reopen(dir, opts, recovery, tail_at, covered)
+    }
+
+    /// Reopens the WAL of a recovered store for appending, validating
+    /// only the tail from byte `tail_at` and trusting that `covered`
+    /// records precede it.
+    fn reopen(
+        dir: &Path,
+        opts: StoreOptions,
+        recovery: Recovery,
+        tail_at: u64,
+        covered: u64,
+    ) -> Result<(Store, Recovery), StoreError> {
+        let clock = FaultClock::new(opts.fault);
         let (wal, _) = WalWriter::open_for_append_trusting(
             &dir.join(WAL_FILE),
             Arc::clone(&clock),
             opts.sync_every,
-            recovery.tail_offset,
-            recovery.snapshot_applied,
+            tail_at,
+            covered,
         )?;
         Ok((
             Store {
@@ -280,24 +294,7 @@ impl Store {
         file.set_len(cut).map_err(&ioerr)?;
         file.sync_data().map_err(&ioerr)?;
         drop(file);
-        let clock = FaultClock::new(opts.fault);
-        let (wal, _) = WalWriter::open_for_append_trusting(
-            &wal_path,
-            Arc::clone(&clock),
-            opts.sync_every,
-            cut,
-            cap,
-        )?;
-        Ok((
-            Store {
-                dir: dir.to_path_buf(),
-                wal,
-                clock,
-                last_snapshot: recovery.snapshot_applied,
-                opts,
-            },
-            recovery,
-        ))
+        Self::reopen(dir, opts, recovery, cut, cap)
     }
 }
 
@@ -355,11 +352,44 @@ pub fn recover(dir: &Path) -> Result<Recovery, StoreError> {
 /// As for [`recover`].
 pub fn recover_with(dir: &Path, mode: RecoverMode) -> Result<Recovery, StoreError> {
     let _span = ld_obs::span("recover.total_ns");
+    let full_replay = mode == RecoverMode::FullReplay;
+    Ok(recover_upto(dir, |applied| !full_replay || applied == 0, None)?.0)
+}
+
+/// Recovers the engine from `dir` as of exactly `cap` records: newest
+/// valid snapshot with `applied ≤ cap`, plus the WAL tail up to the
+/// cut. Returns the recovery and the WAL byte offset of the
+/// `cap`-record boundary (the truncation point
+/// [`Store::resume_capped`] uses). Read-only, like [`recover`].
+///
+/// Snapshots past the cut are skipped silently — compaction may have
+/// outrun the caller's consistency point, and genesis is always kept,
+/// so a usable snapshot always exists in an intact store.
+///
+/// # Errors
+///
+/// As for [`recover`], plus [`StoreError::Corrupt`] if the log's valid
+/// prefix holds fewer than `cap` records — the caller's cut came from
+/// a barrier that fsynced first, so a shorter log is a damaged store.
+pub fn recover_capped(dir: &Path, cap: u64) -> Result<(Recovery, u64), StoreError> {
+    let _span = ld_obs::span("recover.capped_ns");
+    recover_upto(dir, |applied| applied <= cap, Some(cap))
+}
+
+/// The one recovery behind [`recover_with`] and [`recover_capped`]: the
+/// newest snapshot that `usable` admits and that validates, plus the
+/// WAL tail replayed in full or up to `cap` records. Returns the
+/// recovery and, when capped, the WAL byte offset of the cut.
+fn recover_upto(
+    dir: &Path,
+    usable: impl Fn(u64) -> bool,
+    cap: Option<u64>,
+) -> Result<(Recovery, u64), StoreError> {
     let wal_path = dir.join(WAL_FILE);
     let mut skipped = Vec::new();
     let mut chosen = None;
     for (applied, path) in snapshots_desc(dir)? {
-        if mode == RecoverMode::FullReplay && applied != 0 {
+        if !usable(applied) {
             continue;
         }
         let opened =
@@ -395,80 +425,8 @@ pub fn recover_with(dir: &Path, mode: RecoverMode) -> Result<Recovery, StoreErro
     };
     ld_obs::counter("recover.snapshots_skipped").add(skipped.len() as u64);
     let records = found.covered + found.scan.records();
-    let torn = match &found.scan.tail {
-        TailStatus::Clean => None,
-        TailStatus::Torn(t) => Some(t.clone()),
-    };
-
-    let tail = &found.scan.updates[..];
-    for (i, u) in tail.iter().enumerate() {
-        engine.apply(*u).map_err(|r| StoreError::Replay {
-            record: snapshot_applied + i as u64,
-            reason: r.to_string(),
-        })?;
-    }
-    ld_obs::counter("recover.replayed").add(tail.len() as u64);
-    Ok(Recovery {
-        engine,
-        snapshot_path,
-        snapshot_applied,
-        tail_offset,
-        replayed: tail.len() as u64,
-        records,
-        torn,
-        snapshots_skipped: skipped,
-    })
-}
-
-/// Recovers the engine from `dir` as of exactly `cap` records: newest
-/// valid snapshot with `applied ≤ cap`, plus the WAL tail up to the
-/// cut. Returns the recovery and the WAL byte offset of the
-/// `cap`-record boundary (the truncation point
-/// [`Store::resume_capped`] uses). Read-only, like [`recover`].
-///
-/// Snapshots past the cut are skipped silently — compaction may have
-/// outrun the caller's consistency point, and genesis is always kept,
-/// so a usable snapshot always exists in an intact store.
-///
-/// # Errors
-///
-/// As for [`recover`], plus [`StoreError::Corrupt`] if the log's valid
-/// prefix holds fewer than `cap` records — the caller's cut came from
-/// a barrier that fsynced first, so a shorter log is a damaged store.
-pub fn recover_capped(dir: &Path, cap: u64) -> Result<(Recovery, u64), StoreError> {
-    let _span = ld_obs::span("recover.capped_ns");
-    let wal_path = dir.join(WAL_FILE);
-    let mut skipped = Vec::new();
-    let mut chosen = None;
-    for (applied, path) in snapshots_desc(dir)? {
-        if applied > cap {
-            continue;
-        }
-        let opened =
-            Snapshot::open(&path).and_then(|s| Ok((s.applied(), s.wal_len(), s.to_engine()?)));
-        let (snap_applied, wal_len, engine) = match opened {
-            Ok((snap_applied, wal_len, engine)) if snap_applied == applied => {
-                (snap_applied, wal_len, engine)
-            }
-            _ => {
-                skipped.push(path);
-                continue;
-            }
-        };
-        let found = read_wal_tail(&wal_path, wal_len, snap_applied)?;
-        if found.covered < snap_applied {
-            skipped.push(path);
-            continue;
-        }
-        chosen = Some((snap_applied, wal_len, engine, path, found));
-        break;
-    }
-    let Some((snapshot_applied, tail_offset, mut engine, snapshot_path, found)) = chosen else {
-        return Err(StoreError::NoSnapshot {
-            dir: dir.to_path_buf(),
-        });
-    };
-    let records = found.covered + found.scan.records();
+    let capped = cap.is_some();
+    let cap = cap.unwrap_or(records);
     if records < cap {
         return Err(StoreError::Corrupt {
             path: wal_path,
@@ -483,8 +441,9 @@ pub fn recover_capped(dir: &Path, cap: u64) -> Result<(Recovery, u64), StoreErro
     };
     let take = (cap - snapshot_applied) as usize;
     let tail = &found.scan.updates[..take];
-    // The cut's byte offset: the tail start plus the exact framed size
-    // of every replayed record (framing is deterministic per update).
+    // A capped cut's byte offset: the tail start plus the exact framed
+    // size of every replayed record (framing is deterministic per
+    // update).
     let mut cut = tail_offset;
     let mut scratch = Vec::with_capacity(32);
     for (i, u) in tail.iter().enumerate() {
@@ -492,8 +451,10 @@ pub fn recover_capped(dir: &Path, cap: u64) -> Result<(Recovery, u64), StoreErro
             record: snapshot_applied + i as u64,
             reason: r.to_string(),
         })?;
-        scratch.clear();
-        cut += crate::wal::encode_record(u, &mut scratch) as u64;
+        if capped {
+            scratch.clear();
+            cut += crate::wal::encode_record(u, &mut scratch) as u64;
+        }
     }
     ld_obs::counter("recover.replayed").add(tail.len() as u64);
     Ok((

@@ -10,20 +10,26 @@
 //! record  [len: u32][crc32(payload): u32][payload: len bytes]
 //! ```
 //!
-//! Payloads are [`ld_live::codec`] update encodings (≤ 13 bytes today;
-//! the scanner tolerates up to [`MAX_FRAME_PAYLOAD`] for forward
-//! compatibility — anything larger is corruption by definition).
+//! Records are frames of the one [`crate::log`] codec, which the serve
+//! logs and the wire protocol share. Payloads are [`ld_live::codec`]
+//! update encodings (≤ 13 bytes today; the scanner tolerates up to
+//! [`MAX_FRAME_PAYLOAD`] for forward compatibility — anything larger is
+//! corruption by definition).
 //!
 //! # Torn tails
 //!
-//! The log is append-only and records are only ever written in full
-//! frames, so after a crash exactly one invalid suffix can exist: the
-//! torn remains of the last in-flight write (or bits corrupted later).
 //! [`scan_records`] walks frames until the first record that is
 //! truncated, oversized, CRC-mismatched, or undecodable, and reports it
 //! as a typed [`TornTail`] — the valid prefix is always record-aligned,
 //! and a partial record is never surfaced as an update. Recovery
 //! truncates at [`WalScan::valid_len`] and the log is clean again.
+//!
+//! Unlike `epochs.log` and `identity.log`, which refuse damage before
+//! their final frame, the WAL truncates at its first bad frame of any
+//! kind: records are fsynced in windows, not one by one, and the writer
+//! keeps appending after a write that silently damaged a record (the
+//! crash matrix's corrupt-byte cells), so interior damage is a state a
+//! crash can leave and recovery keeps the prefix before it.
 //!
 //! # Durability policy
 //!
@@ -35,8 +41,8 @@
 //! fsyncs before snapshotting, so a snapshot at record `k` implies the
 //! log durably holds ≥ `k` records.
 
-use crate::crc::crc32;
 use crate::fault::{FaultClock, FaultFile};
+use crate::log::{self, FrameError};
 use crate::StoreError;
 use ld_live::codec::{self, CodecError};
 use ld_live::Update;
@@ -52,28 +58,29 @@ pub const WAL_MAGIC: [u8; 8] = *b"LDWAL\x1a\x00\x01";
 pub const WAL_VERSION: u32 = 1;
 /// Bytes before the first record.
 pub const WAL_HEADER_LEN: usize = 16;
-/// Bytes of framing per record (`len` + `crc`).
-pub const FRAME_HEADER_LEN: usize = 8;
+pub use crate::log::FRAME_HEADER_LEN;
 /// Largest payload the scanner accepts; larger lengths are corruption.
 pub const MAX_FRAME_PAYLOAD: u32 = 64;
+/// The payload lengths a record frame may claim.
+const RECORD_LENS: std::ops::RangeInclusive<u32> = 0..=MAX_FRAME_PAYLOAD;
 
 /// Appends one framed record for `update` to `out`; returns the frame
 /// size in bytes.
 pub fn encode_record(update: &Update, out: &mut Vec<u8>) -> usize {
-    let start = out.len();
-    out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
-    let len = codec::encode_update(update, out) as u32;
-    let crc = crc32(&out[start + FRAME_HEADER_LEN..]);
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-    out.len() - start
+    log::encode_frame(out, &RECORD_LENS, |out| {
+        codec::encode_update(update, out);
+    })
+    .expect("an update encoding fits a record frame")
 }
 
-/// Appends the WAL file header to `out`.
-pub fn encode_wal_header(out: &mut Vec<u8>) {
-    out.extend_from_slice(&WAL_MAGIC);
-    out.extend_from_slice(&WAL_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
+/// Writes and fsyncs the WAL file header at the file's position.
+fn write_header(file: &mut FaultFile) -> std::io::Result<()> {
+    let mut header = Vec::with_capacity(WAL_HEADER_LEN);
+    header.extend_from_slice(&WAL_MAGIC);
+    header.extend_from_slice(&WAL_VERSION.to_le_bytes());
+    header.extend_from_slice(&0u32.to_le_bytes());
+    file.write_all(&header)?;
+    file.sync_data()
 }
 
 /// Why a record failed to parse — the first invalid record's diagnosis.
@@ -119,6 +126,21 @@ impl std::fmt::Display for TornReason {
                 "crc mismatch (stored {stored:#010x}, computed {computed:#010x})"
             ),
             TornReason::Malformed(e) => write!(f, "undecodable payload: {e}"),
+        }
+    }
+}
+
+impl From<FrameError> for TornReason {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::TruncatedHeader { have } => TornReason::TruncatedHeader { have },
+            FrameError::TruncatedPayload { need, have } => {
+                TornReason::TruncatedPayload { need, have }
+            }
+            FrameError::BadLength(len) => TornReason::OversizedLength(len),
+            FrameError::CrcMismatch { stored, computed } => {
+                TornReason::CrcMismatch { stored, computed }
+            }
         }
     }
 }
@@ -188,46 +210,25 @@ impl WalScan {
 /// every truncation offset of valid logs and on arbitrary junk.
 pub fn scan_records(body: &[u8]) -> WalScan {
     let mut updates = Vec::new();
-    let mut at = 0usize;
-    let torn = |at: usize, reason: TornReason| {
-        TailStatus::Torn(TornTail {
-            at,
-            trailing: body.len() - at,
-            reason,
-        })
-    };
-    let tail = loop {
-        if at == body.len() {
-            break TailStatus::Clean;
-        }
-        let rest = &body[at..];
-        if rest.len() < FRAME_HEADER_LEN {
-            break torn(at, TornReason::TruncatedHeader { have: rest.len() });
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
-        if len > MAX_FRAME_PAYLOAD {
-            break torn(at, TornReason::OversizedLength(len));
-        }
-        let stored = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        let need = len as usize;
-        let have = rest.len() - FRAME_HEADER_LEN;
-        if have < need {
-            break torn(at, TornReason::TruncatedPayload { need, have });
-        }
-        let payload = &rest[FRAME_HEADER_LEN..FRAME_HEADER_LEN + need];
-        let computed = crc32(payload);
-        if computed != stored {
-            break torn(at, TornReason::CrcMismatch { stored, computed });
-        }
-        match codec::decode_update(payload) {
-            Ok(u) => updates.push(u),
-            Err(e) => break torn(at, TornReason::Malformed(e)),
-        }
-        at += FRAME_HEADER_LEN + need;
+    let scanned = log::scan(body, &RECORD_LENS, |payload| {
+        codec::decode_update(payload)
+            .map(|u| updates.push(u))
+            .map_err(TornReason::Malformed)
+    });
+    let (valid_len, tail) = match scanned {
+        Ok(()) => (body.len(), TailStatus::Clean),
+        Err(stop) => (
+            stop.at,
+            TailStatus::Torn(TornTail {
+                at: stop.at,
+                trailing: body.len() - stop.at,
+                reason: stop.reason,
+            }),
+        ),
     };
     WalScan {
         updates,
-        valid_len: at,
+        valid_len,
         tail,
     }
 }
@@ -287,21 +288,25 @@ pub fn read_wal_tail(path: &Path, tail_at: u64, covered: u64) -> Result<FileScan
     let mut header = [0u8; WAL_HEADER_LEN];
     let have = file_len.min(WAL_HEADER_LEN as u64) as usize;
     file.read_exact(&mut header[..have]).map_err(&ioerr)?;
+    // A scan of no records: a torn header, or a tail outside the file.
+    let empty = |tail, file_valid_len, header_torn| FileScan {
+        scan: WalScan {
+            updates: Vec::new(),
+            valid_len: 0,
+            tail,
+        },
+        covered: 0,
+        file_valid_len,
+        header_torn,
+    };
     if have < WAL_HEADER_LEN {
-        return Ok(FileScan {
-            scan: WalScan {
-                updates: Vec::new(),
-                valid_len: 0,
-                tail: TailStatus::Torn(TornTail {
-                    at: 0,
-                    trailing: have,
-                    reason: TornReason::TruncatedHeader { have },
-                }),
-            },
-            covered: 0,
-            file_valid_len: 0,
-            header_torn: true,
-        });
+        let reason = TornReason::TruncatedHeader { have };
+        let torn = TornTail {
+            at: 0,
+            trailing: have,
+            reason,
+        };
+        return Ok(empty(TailStatus::Torn(torn), 0, true));
     }
     if header[..8] != WAL_MAGIC {
         return Err(StoreError::Corrupt {
@@ -320,16 +325,7 @@ pub fn read_wal_tail(path: &Path, tail_at: u64, covered: u64) -> Result<FileScan
         .ok()
         .filter(|&t| t >= WAL_HEADER_LEN && tail_at <= file_len);
     let Some(tail_at) = in_range else {
-        return Ok(FileScan {
-            scan: WalScan {
-                updates: Vec::new(),
-                valid_len: 0,
-                tail: TailStatus::Clean,
-            },
-            covered: 0,
-            file_valid_len: WAL_HEADER_LEN as u64,
-            header_torn: false,
-        });
+        return Ok(empty(TailStatus::Clean, WAL_HEADER_LEN as u64, false));
     };
     let mut tail = Vec::new();
     file.seek(SeekFrom::Start(tail_at as u64)).map_err(&ioerr)?;
@@ -398,30 +394,13 @@ impl WalWriter {
         clock: Arc<FaultClock>,
         sync_every: u64,
     ) -> Result<WalWriter, StoreError> {
+        // An empty file is a log whose creation was torn before its
+        // header: reopening it writes and fsyncs the header.
         let ioerr = StoreError::io("create wal", path);
-        let file = File::options()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(&ioerr)?;
-        let mut file = FaultFile::new(file, clock);
-        let mut header = Vec::with_capacity(WAL_HEADER_LEN);
-        encode_wal_header(&mut header);
-        file.write_all(&header).map_err(&ioerr)?;
-        file.sync_data().map_err(&ioerr)?;
+        File::create(path).map_err(&ioerr)?;
+        let (wal, _) = Self::open_for_append(path, clock, sync_every)?;
         crate::fsync_parent_dir(path).map_err(&ioerr)?;
-        Ok(WalWriter {
-            file,
-            path: path.to_path_buf(),
-            records: 0,
-            len_bytes: WAL_HEADER_LEN as u64,
-            since_sync: 0,
-            sync_every,
-            scratch: Vec::with_capacity(4096),
-            obs: WalObs::resolve(),
-        })
+        Ok(wal)
     }
 
     /// Reopens an existing log for appending: scans it, truncates any
@@ -466,23 +445,14 @@ impl WalWriter {
             .open(path)
             .map_err(&ioerr)?;
         let mut file = FaultFile::new(file, clock);
+        // A torn header has `file_valid_len` 0: the file is rewritten.
+        file.set_len(found.file_valid_len).map_err(&ioerr)?;
+        file.seek(SeekFrom::Start(found.file_valid_len))
+            .map_err(&ioerr)?;
         if found.header_torn {
-            file.set_len(0).map_err(&ioerr)?;
-            file.seek(SeekFrom::Start(0)).map_err(&ioerr)?;
-            let mut header = Vec::with_capacity(WAL_HEADER_LEN);
-            encode_wal_header(&mut header);
-            file.write_all(&header).map_err(&ioerr)?;
-            file.sync_data().map_err(&ioerr)?;
-        } else {
-            file.set_len(found.file_valid_len).map_err(&ioerr)?;
-            file.seek(SeekFrom::Start(found.file_valid_len))
-                .map_err(&ioerr)?;
+            write_header(&mut file).map_err(&ioerr)?;
         }
-        let len_bytes = if found.header_torn {
-            WAL_HEADER_LEN as u64
-        } else {
-            found.file_valid_len
-        };
+        let len_bytes = found.file_valid_len.max(WAL_HEADER_LEN as u64);
         Ok((
             WalWriter {
                 file,
