@@ -98,10 +98,12 @@ echo "==> pins across builds (a -C target-cpu=native release build prints the ba
 # throughput, latency and epoch-count columns. `verify --quick --seed 1`
 # fails its dynamics claim (best-response dynamics need not reach a
 # fixpoint at every seed), so an exit status is part of the compared
-# output instead of stopping the script.
+# output instead of stopping the script. The weighted:3 sweep prints the
+# multi-target branch's P[mech], sinks and chain, which no golden covers.
 pinned_output() {
   for cmd in "verify --quick --seed 1" "dynamics --quick" "ranked --quick" \
-      "serve --selftest" "serve-bench --quick --seed 3"; do
+      "serve --selftest" "serve-bench --quick --seed 3" \
+      "sweep --topology complete --mechanism weighted:3 --profile uniform:0.35,0.65 --sizes 64,128 --quick"; do
     echo "== repro $cmd"
     # shellcheck disable=SC2086 # $cmd splits into its arguments on purpose
     "$1" $cmd 2>&1 || echo "exit status $?"

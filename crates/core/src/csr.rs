@@ -357,141 +357,6 @@ impl CsrForest {
         Ok(true)
     }
 
-    /// Adopts a raw arena (as persisted by an `ld-store` snapshot)
-    /// without re-resolving: no chain is chased and no sort runs — the
-    /// arena is validated by flat `O(n)` scans and installed as-is.
-    ///
-    /// `delegators` is the one counter not reconstructible from the
-    /// arena alone (an abstainer and a delegator into an abstention
-    /// chain both read `DISCARDED`), so the caller persists it; `depth`
-    /// is the per-voter chain depth the resolve would have produced.
-    /// Everything else — `discarded`, `max_weight`, `sink_count`,
-    /// `longest_chain` — is recomputed here rather than trusted.
-    ///
-    /// Validation is structural and complete: offsets must be a
-    /// monotone prefix-sum ending at `n - discarded`, every tallied
-    /// voter must appear in exactly one group, each group's members
-    /// must name it as their sink, and a nonempty group's sink must be
-    /// its own terminal. A snapshot that decodes but violates any of
-    /// these is rejected as corrupt instead of producing a skewed
-    /// tally.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] naming the first
-    /// violated invariant.
-    pub fn from_raw_arena(
-        arena: Vec<u32>,
-        n: usize,
-        delegators: usize,
-        depth: Vec<u32>,
-    ) -> Result<CsrForest> {
-        let corrupt = |what: String| CoreError::InvalidParameter {
-            reason: format!("raw CSR arena rejected: {what}"),
-        };
-        if n >= UNRESOLVED as usize {
-            return Err(corrupt(format!("n={n} exceeds the CSR voter bound")));
-        }
-        if depth.len() != n {
-            return Err(corrupt(format!("depth length {} != n={n}", depth.len())));
-        }
-        if arena.len() < 2 * n + 1 {
-            return Err(corrupt(format!(
-                "arena length {} < sink_of + offsets sections ({})",
-                arena.len(),
-                2 * n + 1
-            )));
-        }
-        let (sink_of, rest) = arena.split_at(n);
-        let (offsets, members) = rest.split_at(n + 1);
-        let mut discarded = 0usize;
-        for (v, &s) in sink_of.iter().enumerate() {
-            if s == DISCARDED {
-                discarded += 1;
-            } else if s as usize >= n {
-                return Err(corrupt(format!("voter {v} has out-of-range sink {s}")));
-            }
-        }
-        let tallied = n - discarded;
-        if offsets[0] != 0 {
-            return Err(corrupt(format!("offsets[0] = {} != 0", offsets[0])));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(corrupt("offsets are not monotone".to_string()));
-        }
-        if offsets[n] as usize != tallied {
-            return Err(corrupt(format!(
-                "offsets end at {} but {tallied} voters are tallied",
-                offsets[n]
-            )));
-        }
-        if members.len() != tallied {
-            return Err(corrupt(format!(
-                "members section holds {} entries, expected {tallied}",
-                members.len()
-            )));
-        }
-        let mut seen = vec![false; n];
-        let mut max_weight = 0usize;
-        let mut sink_count = 0usize;
-        for s in 0..n {
-            let (lo, hi) = (offsets[s] as usize, offsets[s + 1] as usize);
-            if lo == hi {
-                continue;
-            }
-            sink_count += 1;
-            max_weight = max_weight.max(hi - lo);
-            if sink_of[s] as usize != s {
-                return Err(corrupt(format!("nonempty group {s} is not its own sink")));
-            }
-            for &m in &members[lo..hi] {
-                let m = m as usize;
-                if m >= n {
-                    return Err(corrupt(format!("group {s} holds out-of-range voter {m}")));
-                }
-                if seen[m] {
-                    return Err(corrupt(format!("voter {m} appears in two groups")));
-                }
-                seen[m] = true;
-                if sink_of[m] as usize != s {
-                    return Err(corrupt(format!(
-                        "voter {m} sits in group {s} but sinks at {}",
-                        sink_of[m]
-                    )));
-                }
-            }
-        }
-        // tallied group slots, no duplicates, every member non-discarded:
-        // that is exactly one slot per tallied voter, so coverage holds.
-        let longest_chain = depth.iter().copied().max().unwrap_or(0) as usize;
-        Ok(CsrForest {
-            arena,
-            n,
-            discarded,
-            delegators,
-            longest_chain,
-            max_weight,
-            sink_count,
-            cap_n: n,
-            next: Vec::new(),
-            depth,
-            gini: Vec::new(),
-            terms: Vec::new(),
-        })
-    }
-
-    /// The raw arena backing the held resolution:
-    /// `[sink_of: n][offsets: n+1][members: tallied]` — the exact bytes
-    /// (as little-endian `u32`s) an `ld-store` snapshot persists.
-    pub fn arena(&self) -> &[u32] {
-        &self.arena[..2 * self.n + 1 + self.tallied()]
-    }
-
-    /// Per-voter chain depths in edges for the held resolution.
-    pub fn depths(&self) -> &[u32] {
-        &self.depth[..self.n]
-    }
-
     /// Number of voters in the held resolution.
     pub fn n(&self) -> usize {
         self.n
@@ -959,62 +824,5 @@ mod tests {
         assert_eq!(gone.tallied(), 0);
         assert_eq!(gone.max_weight(), 0);
         assert_eq!(gone.weight_gini(), 0.0);
-    }
-
-    #[test]
-    fn raw_arena_round_trips_without_re_resolving() {
-        let actions = vec![
-            Action::Delegate(1),
-            Action::Delegate(2),
-            Action::Vote,
-            Action::Abstain,
-            Action::Delegate(3),
-            Action::Vote,
-        ];
-        let forest = resolved(actions);
-        let adopted = CsrForest::from_raw_arena(
-            forest.arena().to_vec(),
-            forest.n(),
-            forest.delegators(),
-            forest.depths().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(adopted.to_resolution(), forest.to_resolution());
-        assert_eq!(adopted.discarded(), forest.discarded());
-        assert_eq!(adopted.delegators(), forest.delegators());
-        assert_eq!(adopted.longest_chain(), forest.longest_chain());
-        assert_eq!(adopted.max_weight(), forest.max_weight());
-        assert_eq!(adopted.sink_count(), forest.sink_count());
-        assert_eq!(adopted.arena(), forest.arena());
-    }
-
-    #[test]
-    fn corrupt_raw_arenas_are_rejected_with_reasons() {
-        let forest = resolved(vec![Action::Delegate(1), Action::Vote, Action::Vote]);
-        let (n, delegators) = (forest.n(), forest.delegators());
-        let good = forest.arena().to_vec();
-        let depth = forest.depths().to_vec();
-        let adopt =
-            |arena: Vec<u32>| CsrForest::from_raw_arena(arena, n, delegators, depth.clone());
-
-        // Truncated members section.
-        let mut a = good.clone();
-        a.pop();
-        assert!(adopt(a).unwrap_err().to_string().contains("members"));
-        // Non-monotone offsets.
-        let mut a = good.clone();
-        a[n] = 7;
-        assert!(adopt(a).is_err());
-        // A member claiming a group it does not sink at.
-        let mut a = good.clone();
-        let tallied = forest.tallied();
-        a[2 * n + 1 + tallied - 1] = a[2 * n + 1];
-        assert!(adopt(a).is_err());
-        // Out-of-range sink.
-        let mut a = good.clone();
-        a[0] = n as u32;
-        assert!(adopt(a).unwrap_err().to_string().contains("sink"));
-        // Depth length mismatch.
-        assert!(CsrForest::from_raw_arena(good, n, delegators, vec![0; n + 1]).is_err());
     }
 }

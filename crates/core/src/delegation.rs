@@ -2,7 +2,6 @@
 
 use crate::csr::CsrForest;
 use crate::error::{CoreError, Result};
-use ld_graph::DiGraph;
 
 /// What one voter does with their vote.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,6 +24,16 @@ impl Action {
     /// Whether this action hands the vote to someone else.
     pub fn is_delegation(&self) -> bool {
         matches!(self, Action::Delegate(_) | Action::DelegateMany(_))
+    }
+
+    /// The voters this action hands the vote to, in action order (empty
+    /// for a vote or an abstention).
+    pub(crate) fn targets(&self) -> &[usize] {
+        match self {
+            Action::Vote | Action::Abstain => &[],
+            Action::Delegate(t) => std::slice::from_ref(t),
+            Action::DelegateMany(ts) => ts,
+        }
     }
 }
 
@@ -85,27 +94,9 @@ impl DelegationGraph {
     /// violation, in voter order.
     pub fn validate_targets(&self) -> Result<()> {
         let n = self.n();
-        for (i, a) in self.actions.iter().enumerate() {
-            match a {
-                Action::Vote | Action::Abstain => {}
-                Action::Delegate(t) => {
-                    if *t >= n {
-                        return Err(CoreError::DelegationTargetOutOfRange {
-                            voter: i,
-                            target: *t,
-                            n,
-                        });
-                    }
-                }
-                Action::DelegateMany(ts) => {
-                    if let Some(&t) = ts.iter().find(|&&t| t >= n) {
-                        return Err(CoreError::DelegationTargetOutOfRange {
-                            voter: i,
-                            target: t,
-                            n,
-                        });
-                    }
-                }
+        for (voter, a) in self.actions.iter().enumerate() {
+            if let Some(&target) = a.targets().iter().find(|&&t| t >= n) {
+                return Err(CoreError::DelegationTargetOutOfRange { voter, target, n });
             }
         }
         Ok(())
@@ -156,28 +147,62 @@ impl DelegationGraph {
             .any(|a| matches!(a, Action::DelegateMany(_)))
     }
 
-    /// The induced directed graph (one edge per delegation target).
-    pub fn digraph(&self) -> DiGraph {
-        let mut g = DiGraph::new(self.n());
-        for (i, a) in self.actions.iter().enumerate() {
-            match a {
-                Action::Vote | Action::Abstain => {}
-                Action::Delegate(t) => g.add_edge(i, *t),
-                Action::DelegateMany(ts) => {
-                    for &t in ts {
-                        g.add_edge(i, t);
+    /// A topological order of the voters: every delegator comes before
+    /// each of its targets. Self-targets are ignored.
+    ///
+    /// The order is Kahn's algorithm on a stack, and it is fixed by the
+    /// actions alone: in-degrees count every non-self target (a repeated
+    /// target counts twice), the stack starts with the voters nobody
+    /// delegates to in ascending order, and a popped voter's targets are
+    /// pushed in action order. [`crate::tally::sample_decision`] draws
+    /// its coins in reverse of this order, so it must not change.
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::DelegationTargetOutOfRange`] at the first
+    ///   out-of-range target, in voter order (as
+    ///   [`DelegationGraph::validate_targets`] reports it).
+    /// * [`CoreError::CyclicDelegation`] if delegations form a cycle.
+    pub fn topological_order(&self) -> Result<Vec<usize>> {
+        let n = self.n();
+        let mut indegree = vec![0usize; n];
+        for (voter, a) in self.actions.iter().enumerate() {
+            for &target in a.targets() {
+                if target >= n {
+                    return Err(CoreError::DelegationTargetOutOfRange { voter, target, n });
+                }
+                indegree[target] += usize::from(target != voter);
+            }
+        }
+        let mut stack: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(voter) = stack.pop() {
+            order.push(voter);
+            for &target in self.actions[voter].targets() {
+                if target != voter {
+                    indegree[target] -= 1;
+                    if indegree[target] == 0 {
+                        stack.push(target);
                     }
                 }
             }
         }
-        g
+        if order.len() == n {
+            Ok(order)
+        } else {
+            Err(CoreError::CyclicDelegation)
+        }
     }
 
     /// Whether the delegation graph is acyclic (up to self-loops). The
     /// paper guarantees this for every approval-based mechanism because the
     /// approval margin `α > 0` forbids mutual approval.
+    ///
+    /// This is whether [`DelegationGraph::topological_order`] succeeds,
+    /// so a graph with an out-of-range target is reported as `false`: it
+    /// has no order over the voters `0..n`.
     pub fn is_acyclic(&self) -> bool {
-        self.digraph().is_acyclic()
+        self.topological_order().is_ok()
     }
 
     /// Resolves a single-target delegation graph into sinks and weights.
@@ -402,6 +427,85 @@ mod tests {
     }
 
     #[test]
+    fn multi_target_cycle_is_detected() {
+        let cyclic = DelegationGraph::new(vec![
+            Action::Delegate(1),
+            Action::DelegateMany(vec![2, 2]),
+            Action::Delegate(0),
+        ]);
+        assert!(!cyclic.is_acyclic());
+        assert_eq!(
+            cyclic.topological_order().unwrap_err(),
+            CoreError::CyclicDelegation
+        );
+    }
+
+    #[test]
+    fn multi_target_self_targets_are_not_cycles() {
+        let self_loops = DelegationGraph::new(vec![
+            Action::Delegate(1),
+            Action::DelegateMany(vec![1, 2]),
+            Action::Delegate(2),
+        ]);
+        assert_eq!(self_loops.topological_order().unwrap(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn topological_order_follows_the_stack_discipline() {
+        // Seeds pop largest first; a popped voter's targets are pushed
+        // in action order, so the last-named target comes out first.
+        assert_eq!(
+            DelegationGraph::new(vec![Action::Vote; 3]).topological_order(),
+            Ok(vec![2, 1, 0])
+        );
+        let dg = DelegationGraph::new(vec![
+            Action::DelegateMany(vec![2, 1]),
+            Action::Vote,
+            Action::Vote,
+            Action::DelegateMany(vec![1, 1]),
+        ]);
+        // 1 is named twice by 3 and once by 0: it is released only
+        // after both have been popped.
+        assert_eq!(dg.topological_order(), Ok(vec![3, 0, 1, 2]));
+    }
+
+    #[test]
+    fn topological_order_respects_delegations() {
+        // A deterministic pseudo-random DAG on 500 voters (targets only
+        // above the delegator, so acyclic by construction).
+        let n = 500;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut actions: Vec<Action> = (0..n - 1)
+            .map(|u| {
+                Action::DelegateMany(
+                    (0..3)
+                        .map(|_| u + 1 + (next() as usize) % (n - u - 1))
+                        .collect(),
+                )
+            })
+            .collect();
+        actions.push(Action::Vote);
+        let dg = DelegationGraph::new(actions);
+        let order = dg.topological_order().unwrap();
+        let mut pos = vec![usize::MAX; n];
+        for (idx, &v) in order.iter().enumerate() {
+            assert_eq!(pos[v], usize::MAX, "voter {v} repeated in order");
+            pos[v] = idx;
+        }
+        for (u, a) in dg.actions().iter().enumerate() {
+            for &v in a.targets() {
+                assert!(pos[u] < pos[v], "delegation ({u},{v}) violates the order");
+            }
+        }
+    }
+
+    #[test]
     fn self_delegation_counts_as_voting() {
         let dg = DelegationGraph::new(vec![Action::Delegate(0), Action::Delegate(0)]);
         let res = dg.resolve().unwrap();
@@ -450,19 +554,6 @@ mod tests {
         ));
         assert_eq!(dg.delegator_count(), 1);
         assert!(dg.is_acyclic());
-    }
-
-    #[test]
-    fn digraph_reflects_actions() {
-        let dg = DelegationGraph::new(vec![
-            Action::Delegate(2),
-            Action::DelegateMany(vec![0, 2]),
-            Action::Vote,
-        ]);
-        let g = dg.digraph();
-        assert_eq!(g.m(), 3);
-        assert_eq!(g.successors(1), &[0, 2]);
-        assert_eq!(g.out_degree(2), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::delegation::{Action, DelegationGraph};
 use crate::error::Result;
 use crate::instance::ProblemInstance;
 use crate::mechanisms::Mechanism;
-use crate::tally::{direct_probability, sample_decision, TieBreak};
+use crate::tally::{direct_probability, score_multi_target, TieBreak};
 use ld_prob::coins::PackedCompetence;
 use ld_prob::rng::RngCore;
 use ld_prob::stats::Welford;
@@ -25,7 +25,8 @@ pub struct GainEstimate {
     p_mechanism: Welford,
     /// Per-draw number of delegating voters (Definition 2's `Delegate(n)`).
     delegators: Welford,
-    /// Per-draw number of sinks.
+    /// Per-draw number of sinks: voters that cast a ballot (a vote or
+    /// a self-delegation), in both branches of [`accumulate_draw`].
     sinks: Welford,
     /// Per-draw maximum sink weight (Lemma 5's `w`).
     max_weight: Welford,
@@ -69,7 +70,7 @@ impl GainEstimate {
         self.delegators.mean()
     }
 
-    /// Mean number of sinks per draw.
+    /// Mean number of sinks (ballot-casting voters) per draw.
     pub fn mean_sinks(&self) -> f64 {
         self.sinks.mean()
     }
@@ -213,9 +214,11 @@ pub enum DrawTally<'a> {
 /// scored by `tally`; the structural statistics (delegators, sinks, max
 /// weight, chain, abstentions, Gini) do not depend on the tally.
 /// Weighted-majority graphs ([`crate::delegation::Action::DelegateMany`])
-/// admit no sink-weight tally, so they contribute one sampled outcome
-/// and the statistics their digraph defines instead. The resolve's own
-/// scan tells the two apart; the draw is not scanned beforehand.
+/// admit no sink-weight tally, so they contribute one
+/// [`crate::tally::sample_decision`] outcome, and the delegators, sinks
+/// (ballot casters, as for single-target draws), chain and abstentions
+/// read off the same topological scan; no graph is built. The resolve's
+/// own scan tells the two apart; the draw is not scanned beforehand.
 ///
 /// All randomness comes from `rng`, so with per-trial streams the result
 /// is deterministic for a fixed seed regardless of scheduling.
@@ -257,18 +260,14 @@ pub fn accumulate_draw(
         }
     };
     let Some(p) = p else {
-        let correct = sample_decision(instance, dg, tie, rng)?;
-        est.p_mechanism.push(correct as u8 as f64);
-        est.delegators.push(dg.delegator_count() as f64);
-        let digraph = dg.digraph();
-        est.sinks.push(digraph.sinks().len() as f64);
-        // Max weight and chain length are not defined for weighted-majority
-        // graphs under the sink-weight model; record the chain from the
-        // digraph and skip weight.
-        if let Some(lp) = digraph.longest_path() {
-            est.longest_chain.push(lp as f64);
-        }
-        est.abstained.push(dg.abstainer_count() as f64);
+        // Max weight and Gini are not defined for weighted-majority
+        // graphs under the sink-weight model, so they are skipped.
+        let draw = score_multi_target(instance, dg, tie, rng)?;
+        est.p_mechanism.push(draw.correct as u8 as f64);
+        est.delegators.push(draw.delegators as f64);
+        est.sinks.push(draw.sinks as f64);
+        est.longest_chain.push(draw.longest_chain as f64);
+        est.abstained.push(draw.abstainers as f64);
         return Ok(false);
     };
     est.p_mechanism.push(p);
@@ -486,6 +485,45 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let est = estimate_gain(&inst, &mech, 32, &mut rng).unwrap();
         assert!(est.mean_abstained() > 0.0);
+    }
+
+    #[test]
+    fn multi_target_sinks_are_ballot_casters() {
+        // 1 abstains (3's vote is discarded through it) and 5 delegates to
+        // itself. The single-target analogue swaps 0's pair for one target.
+        let inst = complete_instance(6, 0.3, 0.7);
+        let actions = |first: Action| {
+            vec![
+                first,
+                Action::Abstain,
+                Action::Vote,
+                Action::Delegate(1),
+                Action::Vote,
+                Action::Delegate(5),
+            ]
+        };
+        let many = DelegationGraph::new(actions(Action::DelegateMany(vec![2, 4])));
+        let mut est = empty_estimate(&inst, TieBreak::Incorrect).unwrap();
+        let mut forest = CsrForest::new();
+        let mut rng = StdRng::seed_from_u64(9);
+        let single = accumulate_draw(
+            &inst,
+            &many,
+            TieBreak::Incorrect,
+            &mut rng,
+            &mut est,
+            &mut forest,
+            &mut DrawTally::Exact,
+        )
+        .unwrap();
+        assert!(!single);
+        forest
+            .resolve(&DelegationGraph::new(actions(Action::Delegate(2))))
+            .unwrap();
+        assert_eq!(forest.sink_count(), 3);
+        assert_eq!(est.mean_sinks(), forest.sink_count() as f64);
+        assert_eq!(est.mean_delegators(), forest.delegators() as f64);
+        assert_eq!(est.mean_longest_chain(), 1.0);
     }
 
     #[test]

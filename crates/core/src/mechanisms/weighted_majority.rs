@@ -20,7 +20,10 @@ use ld_prob::rng::{Rng, RngCore};
 ///
 /// The resulting delegation graph contains [`Action::DelegateMany`] nodes
 /// and is evaluated by outcome-propagation sampling (see
-/// `tally::sample_decision`) rather than the exact sink-weight DP.
+/// [`crate::tally::sample_decision`]) rather than the exact sink-weight
+/// DP: one scan in reverse topological order of the actions draws the
+/// outcome and reads the sinks and longest chain the gain estimate
+/// records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WeightedMajorityDelegation {
     k: usize,

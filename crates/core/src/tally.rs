@@ -9,7 +9,7 @@
 //! draw is computed in closed form — no vote-level sampling noise.
 
 use crate::delegation::{Action, DelegationGraph, Resolution};
-use crate::error::{CoreError, Result};
+use crate::error::Result;
 use crate::instance::ProblemInstance;
 use ld_prob::poisson_binomial::{PoissonBinomial, WeightedBernoulliSum};
 use ld_prob::rng::{Rng, RngCore};
@@ -89,69 +89,126 @@ pub fn direct_probability(instance: &ProblemInstance, tie: TieBreak) -> Result<f
 /// * an abstainer contributes nothing, and votes that resolve to an
 ///   abstainer are discarded.
 ///
+/// Voters are evaluated in reverse of
+/// [`DelegationGraph::topological_order`], so targets come before their
+/// delegators and the coins are drawn in a fixed order.
+///
 /// # Errors
 ///
-/// Returns [`CoreError::CyclicDelegation`] if the graph is cyclic.
+/// * [`crate::CoreError::DelegationTargetOutOfRange`] at the first
+///   out-of-range target, in voter order.
+/// * [`crate::CoreError::CyclicDelegation`] if the graph is cyclic.
 pub fn sample_decision(
     instance: &ProblemInstance,
     dg: &DelegationGraph,
     tie: TieBreak,
     rng: &mut dyn RngCore,
 ) -> Result<bool> {
-    let order = dg
-        .digraph()
-        .topological_order()
-        .ok_or(CoreError::CyclicDelegation)?;
+    score_multi_target(instance, dg, tie, rng).map(|draw| draw.correct)
+}
+
+/// One [`sample_decision`] draw together with the structural statistics
+/// of its graph, all read off the same scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct MultiTargetDraw {
+    /// Whether the sampled decision was correct.
+    pub(crate) correct: bool,
+    /// Voters that delegate, singly or to many.
+    pub(crate) delegators: usize,
+    /// Voters that cast a ballot: a vote or a self-delegation, the
+    /// voters [`crate::csr::CsrForest::sink_count`] counts.
+    pub(crate) sinks: usize,
+    /// Longest delegation path in edges, self-targets ignored.
+    pub(crate) longest_chain: usize,
+    /// Abstaining voters.
+    pub(crate) abstainers: usize,
+}
+
+/// [`sample_decision`], plus the statistics the trial pipeline records
+/// for a multi-target draw: one topological order, one scan in reverse
+/// of it.
+pub(crate) fn score_multi_target(
+    instance: &ProblemInstance,
+    dg: &DelegationGraph,
+    tie: TieBreak,
+    rng: &mut dyn RngCore,
+) -> Result<MultiTargetDraw> {
+    let order = dg.topological_order()?;
     let n = dg.n();
-    // outcome[i]: Some(correct?) or None for abstained/discarded.
+    // outcome[i]: Some(correct?) or None for abstained/discarded;
+    // chain[i]: the longest delegation path leaving i, in edges.
     let mut outcome: Vec<Option<bool>> = vec![None; n];
-    // Topological order puts delegators before their targets (edges point
-    // delegator → target); evaluate targets first.
+    let mut chain = vec![0usize; n];
+    let mut draw = MultiTargetDraw::default();
+    let (mut correct, mut tallied) = (0usize, 0usize);
     for &i in order.iter().rev() {
-        outcome[i] = match dg.action(i) {
-            Action::Vote => Some(rng.gen_bool(instance.competency(i))),
-            Action::Abstain => None,
+        let action = dg.action(i);
+        chain[i] = action
+            .targets()
+            .iter()
+            .filter(|&&t| t != i)
+            .map(|&t| chain[t] + 1)
+            .max()
+            .unwrap_or(0);
+        draw.longest_chain = draw.longest_chain.max(chain[i]);
+        draw.delegators += usize::from(action.is_delegation());
+        outcome[i] = match action {
+            Action::Vote => {
+                draw.sinks += 1;
+                Some(rng.gen_bool(instance.competency(i)))
+            }
+            Action::Abstain => {
+                draw.abstainers += 1;
+                None
+            }
             Action::Delegate(t) => {
                 if *t == i {
+                    draw.sinks += 1;
                     Some(rng.gen_bool(instance.competency(i)))
                 } else {
                     outcome[*t]
                 }
             }
             Action::DelegateMany(ts) => {
-                let votes: Vec<bool> = ts.iter().filter_map(|&t| outcome[t]).collect();
-                let correct = votes.iter().filter(|&&v| v).count();
-                let incorrect = votes.len() - correct;
-                if correct > incorrect {
-                    Some(true)
-                } else if incorrect > correct {
-                    Some(false)
-                } else {
+                // A self-target reads `outcome[i]`, still `None` here.
+                let (mut yes, mut no) = (0usize, 0usize);
+                for &t in ts {
+                    match outcome[t] {
+                        Some(true) => yes += 1,
+                        Some(false) => no += 1,
+                        None => {}
+                    }
+                }
+                if yes == no {
                     Some(rng.gen_bool(instance.competency(i)))
+                } else {
+                    Some(yes > no)
                 }
             }
         };
+        if let Some(o) = outcome[i] {
+            tallied += 1;
+            correct += usize::from(o);
+        }
     }
-    let correct = outcome.iter().filter(|o| **o == Some(true)).count();
-    let tallied = outcome.iter().filter(|o| o.is_some()).count();
     let incorrect = tallied - correct;
-    Ok(if correct > incorrect {
-        true
-    } else if incorrect > correct {
-        false
+    draw.correct = if correct != incorrect {
+        correct > incorrect
     } else {
         match tie {
             TieBreak::Incorrect => false,
             TieBreak::Correct => true,
             TieBreak::CoinFlip => rng.gen_bool(0.5),
         }
-    })
+    };
+    Ok(draw)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::competency::CompetencyProfile;
+    use crate::error::CoreError;
     use ld_graph::generators;
     use ld_prob::rng::StdRng;
     use ld_prob::stats::Proportion;
@@ -255,6 +312,12 @@ mod tests {
             sample_decision(&inst, &dg, TieBreak::Incorrect, &mut rng).unwrap_err(),
             CoreError::CyclicDelegation
         );
+        let many =
+            DelegationGraph::new(vec![Action::DelegateMany(vec![0, 1]), Action::Delegate(0)]);
+        assert_eq!(
+            sample_decision(&inst, &many, TieBreak::Incorrect, &mut rng).unwrap_err(),
+            CoreError::CyclicDelegation
+        );
     }
 
     #[test]
@@ -302,5 +365,111 @@ mod tests {
         assert_eq!(TieBreak::CoinFlip.credit(), 0.5);
         assert_eq!(TieBreak::Correct.credit(), 1.0);
         assert_eq!(TieBreak::default(), TieBreak::Incorrect);
+    }
+
+    fn scan(actions: Vec<Action>) -> MultiTargetDraw {
+        let inst = inst(vec![0.6; actions.len()]);
+        let mut rng = StdRng::seed_from_u64(3);
+        let dg = DelegationGraph::new(actions);
+        score_multi_target(&inst, &dg, TieBreak::Incorrect, &mut rng).unwrap()
+    }
+
+    #[test]
+    fn multi_target_scan_of_no_delegation() {
+        // No delegation: every voter is a sink and no chain has an edge.
+        let all_vote = scan(vec![Action::Vote; 3]);
+        assert_eq!((all_vote.sinks, all_vote.longest_chain), (3, 0));
+        assert_eq!((all_vote.delegators, all_vote.abstainers), (0, 0));
+    }
+
+    #[test]
+    fn multi_target_scan_of_a_chain() {
+        // 0 → {1, 2}, 1 → 2 → 3: one sink, the chain 0 → 1 → 2 → 3.
+        let chain = scan(vec![
+            Action::DelegateMany(vec![1, 2]),
+            Action::Delegate(2),
+            Action::Delegate(3),
+            Action::Vote,
+        ]);
+        assert_eq!(
+            (chain.sinks, chain.longest_chain, chain.delegators),
+            (1, 3, 3)
+        );
+    }
+
+    #[test]
+    fn multi_target_scan_of_branches() {
+        // Branches 0 → 1 → 2 → 3 and 0 → 4 → 3; 5 votes on its own.
+        let branches = scan(vec![
+            Action::DelegateMany(vec![1, 4]),
+            Action::Delegate(2),
+            Action::Delegate(3),
+            Action::Vote,
+            Action::Delegate(3),
+            Action::Vote,
+        ]);
+        assert_eq!((branches.sinks, branches.longest_chain), (2, 3));
+    }
+
+    #[test]
+    fn multi_target_scan_of_the_star() {
+        // The Figure 1 star, each leaf also naming 5: two sinks, depth 1.
+        let mut star = vec![Action::Vote];
+        star.extend((1..5).map(|_| Action::DelegateMany(vec![0, 5])));
+        star.push(Action::Vote);
+        let star = scan(star);
+        assert_eq!((star.sinks, star.longest_chain, star.delegators), (2, 1, 4));
+    }
+
+    #[test]
+    fn multi_target_scan_of_self_targets() {
+        // Self-targets are no edges: a self-delegation is a sink, and a
+        // multi-delegator naming itself is neither a sink nor a cycle.
+        let selfish = scan(vec![
+            Action::Delegate(0),
+            Action::DelegateMany(vec![1, 2]),
+            Action::Vote,
+        ]);
+        assert_eq!((selfish.sinks, selfish.longest_chain), (2, 1));
+    }
+
+    #[test]
+    fn out_of_range_multi_target_is_a_typed_error() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for (actions, voter, target) in [
+            (vec![Action::DelegateMany(vec![1, 5]), Action::Vote], 0, 5),
+            (
+                vec![
+                    Action::Delegate(9),
+                    Action::DelegateMany(vec![0, 2]),
+                    Action::Vote,
+                ],
+                0,
+                9,
+            ),
+        ] {
+            let n = actions.len();
+            let inst = inst(vec![0.6; n]);
+            let dg = DelegationGraph::new(actions);
+            let want = CoreError::DelegationTargetOutOfRange { voter, target, n };
+            assert_eq!(
+                sample_decision(&inst, &dg, TieBreak::Incorrect, &mut rng).unwrap_err(),
+                want
+            );
+            assert_eq!(dg.validate_targets().unwrap_err(), want);
+            assert!(!dg.is_acyclic());
+            let mut est = crate::gain::empty_estimate(&inst, TieBreak::Incorrect).unwrap();
+            let err = crate::gain::accumulate_draw(
+                &inst,
+                &dg,
+                TieBreak::Incorrect,
+                &mut rng,
+                &mut est,
+                &mut crate::csr::CsrForest::new(),
+                &mut crate::gain::DrawTally::Exact,
+            )
+            .unwrap_err();
+            assert_eq!(err, want);
+        }
     }
 }

@@ -198,3 +198,48 @@ fn delegation_raises_expected_correct_votes() {
         );
     });
 }
+
+/// A multi-target delegation graph whose targets all lie above their
+/// delegator is acyclic and its topological order puts every delegator
+/// before its targets; one delegation back to a delegator closes a cycle.
+#[test]
+fn delegation_graph_acyclicity() {
+    for_each_case("delegation_graph_acyclicity", 64, |rng| {
+        let n = rng.gen_range(2usize..50);
+        let mut actions: Vec<Action> = (0..n)
+            .map(|u| {
+                if u + 1 < n && rng.gen_bool(0.7) {
+                    let k = rng.gen_range(1usize..4);
+                    Action::DelegateMany((0..k).map(|_| rng.gen_range(u + 1..n)).collect())
+                } else {
+                    Action::Vote
+                }
+            })
+            .collect();
+        let dg = DelegationGraph::new(actions.clone());
+        let order = dg.topological_order().unwrap();
+        let mut pos = vec![usize::MAX; n];
+        for (idx, &v) in order.iter().enumerate() {
+            pos[v] = idx;
+        }
+        assert!(pos.iter().all(|&p| p < n), "order is not a permutation");
+        for (u, a) in actions.iter().enumerate() {
+            if let Action::DelegateMany(ts) = a {
+                assert!(ts.iter().all(|&t| pos[u] < pos[t]));
+            }
+        }
+        if let Some(u) = actions.iter().position(Action::is_delegation) {
+            let Action::DelegateMany(ts) = &actions[u] else {
+                unreachable!("only multi-target delegations are drawn")
+            };
+            let v = ts[0];
+            actions[v] = Action::DelegateMany(vec![v, u]);
+            let cyclic = DelegationGraph::new(actions);
+            assert!(!cyclic.is_acyclic());
+            assert_eq!(
+                cyclic.topological_order(),
+                Err(ld_core::CoreError::CyclicDelegation)
+            );
+        }
+    });
+}

@@ -8,10 +8,6 @@
 //!   lists, used to represent the social network of voters `(V, E)`. The
 //!   complete graph `K_n` keeps no lists and answers adjacency
 //!   arithmetically.
-//! * [`DiGraph`] — a directed graph used for *delegation graphs* (the output
-//!   of a delegation mechanism), with sink detection, cycle detection,
-//!   topological ordering and longest-path computation (the paper's
-//!   *partition complexity*).
 //! * [`generators`] — one generator per graph restriction studied in the
 //!   paper (complete `K_n`, random `d`-regular `Rand(n, d)`, bounded maximum
 //!   degree `Δ ≤ k`, bounded minimum degree `δ ≥ k`, the star counterexample
@@ -23,6 +19,11 @@
 //!   index that Section 6 of the paper identifies as the quantity governing
 //!   the feasibility of liquid democracy.
 //! * [`traversal`] — BFS/DFS, connected components and related utilities.
+//!
+//! The directed *delegation graph* a mechanism produces is not built
+//! here: `ld_core::delegation::DelegationGraph` keeps one action per
+//! voter and computes its topological order, sinks and chains straight
+//! from that action vector.
 //!
 //! Vertices are dense indices `0..n`, matching the paper's convention of
 //! ordering voters by competency (`p_i ≤ p_j` for `i < j`).
@@ -44,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod digraph;
 mod error;
 mod graph;
 
@@ -52,6 +52,5 @@ pub mod generators;
 pub mod properties;
 pub mod traversal;
 
-pub use digraph::DiGraph;
 pub use error::{GraphError, Result};
 pub use graph::{Edge, Graph, GraphBuilder, Neighbors};

@@ -19,9 +19,10 @@
 //! WAL byte length at compaction time, so recovery seeks straight to
 //! the tail instead of walking `applied` frames. Because the resolved view (`sink_of` via
 //! the arena, `depth`) is stored alongside the inputs, rehydration is
-//! [`LiveEngine::from_resolved_parts`] /
-//! [`CsrForest::from_raw_arena`] — flat `O(n)` validation passes, no
-//! resolver run, no JSON.
+//! [`LiveEngine::from_resolved_parts`] — flat `O(n)` validation passes,
+//! no resolver run, no JSON. Only the arena's `sink_of` prefix is read
+//! back; its offsets and members sections are still written, sized and
+//! CRC-checked, so the file format is unchanged.
 //!
 //! Writes are atomic and durable: temp file, streamed chunked writes
 //! through the store's [`FaultClock`], fsync, rename into place, fsync
@@ -33,7 +34,7 @@
 use crate::crc::{crc32, Crc32};
 use crate::fault::{FaultClock, FaultFile};
 use crate::StoreError;
-use ld_core::csr::{CsrForest, DISCARDED};
+use ld_core::csr::DISCARDED;
 use ld_core::delegation::Action;
 use ld_live::LiveEngine;
 use std::fs::File;
@@ -207,8 +208,6 @@ pub struct Snapshot {
     path: PathBuf,
     n: usize,
     applied: u64,
-    discarded: usize,
-    delegators: usize,
     wal_len: u64,
 }
 
@@ -282,8 +281,6 @@ impl Snapshot {
             path: path.to_path_buf(),
             n: n_us,
             applied,
-            discarded: discarded as usize,
-            delegators: delegators as usize,
             wal_len,
         })
     }
@@ -363,13 +360,6 @@ impl Snapshot {
         self.u32_section(self.depth_at(), self.n).collect()
     }
 
-    /// Decodes the raw CSR arena.
-    pub fn arena(&self) -> Vec<u32> {
-        let tallied = self.n - self.discarded;
-        self.u32_section(self.arena_at(), 2 * self.n + 1 + tallied)
-            .collect()
-    }
-
     /// Rehydrates a [`LiveEngine`] — validated flat passes, no resolver
     /// run (see [`LiveEngine::from_resolved_parts`]).
     ///
@@ -396,21 +386,6 @@ impl Snapshot {
             reason: format!("engine rehydration rejected snapshot: {e}"),
         })?;
         Ok(engine)
-    }
-
-    /// Rehydrates a [`CsrForest`] by adopting the stored arena —
-    /// validated, not re-resolved (see [`CsrForest::from_raw_arena`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] if arena validation fails.
-    pub fn to_csr(&self) -> Result<CsrForest, StoreError> {
-        CsrForest::from_raw_arena(self.arena(), self.n, self.delegators, self.depths()).map_err(
-            |e| StoreError::Corrupt {
-                path: self.path.clone(),
-                reason: format!("CSR rehydration rejected snapshot: {e}"),
-            },
-        )
     }
 }
 
@@ -469,9 +444,6 @@ mod tests {
         assert_eq!(back.competences(), engine.competences());
         assert_eq!(back.depths(), engine.depths());
         back.self_check().unwrap();
-        let csr = snap.to_csr().unwrap();
-        assert_eq!(csr.to_resolution(), engine.resolution());
-        assert_eq!(csr.delegators(), engine.delegators());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -489,12 +461,7 @@ mod tests {
             bent[i] ^= 0x04;
             std::fs::write(&bent_path, &bent).unwrap();
             let opened = Snapshot::open(&bent_path);
-            let ok = opened
-                .and_then(|s| {
-                    s.to_engine()?;
-                    s.to_csr()
-                })
-                .is_ok();
+            let ok = opened.and_then(|s| s.to_engine()).is_ok();
             assert!(!ok, "flip at byte {i} slipped through validation");
         }
         std::fs::remove_dir_all(&dir).ok();
