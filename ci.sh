@@ -28,6 +28,9 @@ cargo test --release -q -p ld-testkit --test direct_dp_differential -- --ignored
 echo "==> large-n Algorithm 1 differential (run vs act loop, resolve vs recursive oracle; K_n at 2^17, 8-regular at 2^16)"
 cargo test --release -q -p ld-testkit --test algorithm1_large_n -- --ignored
 
+echo "==> large-n publish differential (sink-only PublishedTally vs three-pass byte-wise oracle; balanced churn at n = 100000 and 100003, edge weight vectors)"
+cargo test --release -q -p ld-serve --lib -- --ignored
+
 echo "==> rustdoc clean (no broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 

@@ -267,7 +267,7 @@ pub fn accumulate_draw(
         est.delegators.push(draw.delegators as f64);
         est.sinks.push(draw.sinks as f64);
         est.longest_chain.push(draw.longest_chain as f64);
-        est.abstained.push(draw.abstainers as f64);
+        est.abstained.push(draw.discarded as f64);
         return Ok(false);
     };
     est.p_mechanism.push(p);
@@ -524,6 +524,9 @@ mod tests {
         assert_eq!(est.mean_sinks(), forest.sink_count() as f64);
         assert_eq!(est.mean_delegators(), forest.delegators() as f64);
         assert_eq!(est.mean_longest_chain(), 1.0);
+        // 1's own vote and 3's, delegated to it.
+        assert_eq!(forest.discarded(), 2);
+        assert_eq!(est.mean_abstained(), forest.discarded() as f64);
     }
 
     #[test]

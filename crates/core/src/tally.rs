@@ -120,8 +120,10 @@ pub(crate) struct MultiTargetDraw {
     pub(crate) sinks: usize,
     /// Longest delegation path in edges, self-targets ignored.
     pub(crate) longest_chain: usize,
-    /// Abstaining voters.
-    pub(crate) abstainers: usize,
+    /// Votes discarded through abstention (`n − tallied`), the count
+    /// [`crate::csr::CsrForest::discarded`] reports: abstainers and the
+    /// voters whose delegation ends at one.
+    pub(crate) discarded: usize,
 }
 
 /// [`sample_decision`], plus the statistics the trial pipeline records
@@ -157,10 +159,7 @@ pub(crate) fn score_multi_target(
                 draw.sinks += 1;
                 Some(rng.gen_bool(instance.competency(i)))
             }
-            Action::Abstain => {
-                draw.abstainers += 1;
-                None
-            }
+            Action::Abstain => None,
             Action::Delegate(t) => {
                 if *t == i {
                     draw.sinks += 1;
@@ -191,6 +190,7 @@ pub(crate) fn score_multi_target(
             correct += usize::from(o);
         }
     }
+    draw.discarded = n - tallied;
     let incorrect = tallied - correct;
     draw.correct = if correct != incorrect {
         correct > incorrect
@@ -379,7 +379,7 @@ mod tests {
         // No delegation: every voter is a sink and no chain has an edge.
         let all_vote = scan(vec![Action::Vote; 3]);
         assert_eq!((all_vote.sinks, all_vote.longest_chain), (3, 0));
-        assert_eq!((all_vote.delegators, all_vote.abstainers), (0, 0));
+        assert_eq!((all_vote.delegators, all_vote.discarded), (0, 0));
     }
 
     #[test]
@@ -419,6 +419,19 @@ mod tests {
         star.push(Action::Vote);
         let star = scan(star);
         assert_eq!((star.sinks, star.longest_chain, star.delegators), (2, 1, 4));
+    }
+
+    #[test]
+    fn multi_target_scan_discards_votes_delegated_into_an_abstainer() {
+        // 0 abstains and 1 delegates to it: two votes are discarded. 2
+        // names only 0, so its tie of no votes falls to its own coin.
+        let discarding = scan(vec![
+            Action::Abstain,
+            Action::Delegate(0),
+            Action::DelegateMany(vec![0]),
+            Action::Vote,
+        ]);
+        assert_eq!((discarding.discarded, discarding.sinks), (2, 1));
     }
 
     #[test]

@@ -542,6 +542,9 @@ struct Sequencer {
     /// The open window's accepted updates in arrival order: already in
     /// the engine, not yet in the WAL.
     pending: Vec<Update>,
+    /// The weight buffer of the last replaced snapshot no reader held;
+    /// the next tally writes into it instead of allocating.
+    spare: Vec<u64>,
     windows: u32,
     /// The first durable-layer failure; once set, no epoch publishes.
     failure: Option<String>,
@@ -553,6 +556,8 @@ struct SequencerObs {
     window_updates: ld_obs::Histogram,
     rejected: ld_obs::Counter,
     publish_ns: ld_obs::Histogram,
+    tally_ns: ld_obs::Histogram,
+    epoch_log_ns: ld_obs::Histogram,
     ingest_to_publish_ns: ld_obs::Histogram,
     epochs: ld_obs::Counter,
     applied: ld_obs::Counter,
@@ -564,6 +569,8 @@ impl SequencerObs {
             window_updates: ld_obs::histogram("serve.window_updates"),
             rejected: ld_obs::counter("serve.rejected"),
             publish_ns: ld_obs::histogram("serve.publish_ns"),
+            tally_ns: ld_obs::histogram("serve.tally_ns"),
+            epoch_log_ns: ld_obs::histogram("serve.epoch_log_ns"),
             ingest_to_publish_ns: ld_obs::histogram("serve.ingest_to_publish_ns"),
             epochs: ld_obs::counter("serve.epochs"),
             applied: ld_obs::counter("serve.applied"),
@@ -602,6 +609,7 @@ impl Sequencer {
             stamps: Vec::new(),
             run: Vec::new(),
             pending: Vec::new(),
+            spare: Vec::new(),
             windows: 0,
             failure: None,
             obs: SequencerObs::resolve(),
@@ -781,30 +789,42 @@ impl Sequencer {
         self.obs.epochs.incr();
         // `applied` is cumulative; the counter takes this epoch's share.
         self.obs.applied.add(snap.applied - previous.applied);
+        // A reader may still hold the replaced snapshot; then its buffer
+        // stays untouched and the next tally allocates.
+        if let Ok(previous) = Arc::try_unwrap(previous) {
+            self.spare = previous.tally.weights;
+        }
         Ok(snap)
     }
 
     /// Makes the engine's state durable and commits it as the next
     /// epoch, returning the epoch number and its tally.
     fn commit(&mut self) -> Result<(u64, PublishedTally), String> {
+        let mut tally = || {
+            timed(&self.obs.tally_ns, || {
+                PublishedTally::into_buffer(&self.engine, std::mem::take(&mut self.spare))
+            })
+        };
         let tally = match self.store.as_mut() {
             Some(store) => {
-                let tally = sync_beside_tally(store, &self.engine)?;
+                let tally = sync_beside_tally(store, tally)?;
                 store
                     .maybe_compact(&self.engine)
                     .map_err(|e| format!("compact: {e}"))?;
                 tally
             }
-            None => PublishedTally::of(&self.engine),
+            None => tally(),
         };
         let epoch = self.published.epoch.load(Ordering::Acquire) + 1;
         if let Some(log) = self.epoch_log.as_mut() {
-            log.append(&EpochEntry {
-                epoch,
-                records: self.applied,
-                digest: tally.digest,
-                applied: self.applied,
-                rejected: self.rejected,
+            timed(&self.obs.epoch_log_ns, || {
+                log.append(&EpochEntry {
+                    epoch,
+                    records: self.applied,
+                    digest: tally.digest,
+                    applied: self.applied,
+                    rejected: self.rejected,
+                })
             })
             .map_err(|e| format!("epoch commit: {e}"))?;
         }
@@ -812,23 +832,34 @@ impl Sequencer {
     }
 }
 
+/// Runs `f`, recording its wall time in nanoseconds in `hist`.
+fn timed<T>(hist: &ld_obs::Histogram, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    hist.record(start.elapsed().as_nanos() as u64);
+    out
+}
+
 /// Fsyncs the WAL on a scoped helper thread while this thread builds
 /// the tally, so the barrier waits for the longer of the two instead of
 /// their sum. Should no helper thread be available, it syncs first and
 /// then tallies.
-fn sync_beside_tally(store: &mut Store, engine: &LiveEngine) -> Result<PublishedTally, String> {
+fn sync_beside_tally(
+    store: &mut Store,
+    mut tally: impl FnMut() -> PublishedTally,
+) -> Result<PublishedTally, String> {
     let overlapped = std::thread::scope(|scope| {
         let helper = std::thread::Builder::new()
             .name("ld-serve-wal-sync".to_string())
             .spawn_scoped(scope, || store.sync())
             .ok()?;
-        let tally = PublishedTally::of(engine);
+        let tally = tally();
         let synced = helper
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         Some((synced, tally))
     });
-    let (synced, tally) = overlapped.unwrap_or_else(|| (store.sync(), PublishedTally::of(engine)));
+    let (synced, tally) = overlapped.unwrap_or_else(|| (store.sync(), tally()));
     synced.map_err(|e| format!("wal sync: {e}"))?;
     Ok(tally)
 }

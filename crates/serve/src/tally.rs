@@ -7,10 +7,24 @@
 //! published `P[correct]` — like the digest — is a pure function of the
 //! state and reproduces bit for bit after a restart.
 //!
-//! The freeze is one fused pass over the engine's weights that also
-//! folds the digest. The digest is byte-wise FNV-1a, but most weights
-//! are below 256, and for those the eight byte steps collapse into one
-//! multiply by `P⁸` (`fnv1a_u64` shows why the bits agree).
+//! The freeze is one pass over the engine's weights in words of 64
+//! voters. Each word is copied into the published `u64` weights and
+//! turned into a mask of its sinks, and only the set bits are visited.
+//! The sink count, max weight, `Σ w·p` and `Σ w²·p·q` take the sinks'
+//! terms in voter order; a non-sink's term would be an exact ±0.0
+//! (competences are finite, in [0, 1]) added to sums that start at
+//! +0.0 and so are never −0.0, so skipping it changes no bit.
+//!
+//! The digest is byte-wise FNV-1a, but most weights are below 256, and
+//! for those the eight byte steps collapse into one multiply by `P⁸`
+//! (`fnv1a_u64` shows why the bits agree). A zero weight's step is
+//! `h·P⁸`, so a run of `k` non-sinks is one multiply by `P⁸ᵏ` from a
+//! table (`fold_zeros`): the digest, too, costs work per sink rather
+//! than per voter.
+//!
+//! The epoch barrier hands in the weight buffer of the snapshot it last
+//! replaced, when no reader still holds it, so a steady election writes
+//! two buffers in turn instead of allocating one per epoch.
 
 use ld_core::tally::TieBreak;
 use ld_live::{normal_decision_probability, LiveEngine};
@@ -44,29 +58,48 @@ pub struct PublishedTally {
 }
 
 impl PublishedTally {
-    /// Freezes `engine`'s current state in one pass over its weights:
-    /// the `u64` weights, sink count, max weight, `Σ w·p`, `Σ w²·p·q`
-    /// and the digest are all built in the same loop.
+    /// Freezes `engine`'s current state in one pass over its weights
+    /// that copies them as `u64` and visits only the sinks: the sink
+    /// count, max weight, `Σ w·p`, `Σ w²·p·q` and the digest are built
+    /// in the same loop.
     #[must_use]
     pub fn of(engine: &LiveEngine) -> PublishedTally {
-        let source = engine.weights();
-        let mut weights = Vec::with_capacity(source.len());
+        Self::into_buffer(engine, Vec::new())
+    }
+
+    /// [`PublishedTally::of`], writing the weights into `weights` (its
+    /// contents are discarded), so an epoch barrier can reuse the buffer
+    /// of a snapshot no reader holds any more.
+    pub(crate) fn into_buffer(engine: &LiveEngine, mut weights: Vec<u64>) -> PublishedTally {
+        let (source, competences) = (engine.weights(), engine.competences());
+        weights.clear();
+        weights.reserve(source.len());
         let (mut sink_count, mut max_weight) = (0u64, 0u64);
         let (mut mean, mut variance) = (0.0f64, 0.0f64);
         let mut h = fnv1a_u64(FNV_OFFSET, source.len() as u64);
-        for (&w, &p) in source.iter().zip(engine.competences()) {
-            let w = w as u64;
-            weights.push(w);
-            h = fnv1a_u64(h, w);
-            // Branch-free: a non-sink adds an exact ±0.0 (competences are
-            // finite, in [0, 1]) to sums that start at +0.0 and so are
-            // never −0.0, which leaves them bit for bit unchanged. The
-            // sinks' terms are added in voter order.
-            sink_count += u64::from(w != 0);
-            max_weight = max_weight.max(w);
-            mean += w as f64 * p;
-            variance += (w * w) as f64 * p * (1.0 - p);
+        // Non-sinks passed but not yet folded into `h`.
+        let mut zeros = 0;
+        for (word, chunk) in source.chunks(64).enumerate() {
+            weights.extend(chunk.iter().map(|&w| w as u64));
+            let mut sinks = sink_mask(chunk);
+            sink_count += u64::from(sinks.count_ones());
+            // The first voter of this chunk not yet folded into `h`.
+            let mut next = 0;
+            while sinks != 0 {
+                let bit = sinks.trailing_zeros() as usize;
+                sinks &= sinks - 1;
+                h = fold_zeros(h, zeros + bit - next);
+                zeros = 0;
+                next = bit + 1;
+                let (w, p) = (chunk[bit] as u64, competences[64 * word + bit]);
+                h = fnv1a_u64(h, w);
+                max_weight = max_weight.max(w);
+                mean += w as f64 * p;
+                variance += (w * w) as f64 * p * (1.0 - p);
+            }
+            zeros += chunk.len() - next;
         }
+        let h = fold_zeros(h, zeros);
         let (discarded, tallied) = (engine.discarded() as u64, engine.tallied() as u64);
         PublishedTally {
             n: engine.n() as u32,
@@ -92,6 +125,42 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Eight FNV-1a multiplications folded into one.
 const FNV_PRIME_8: u64 = FNV_PRIME.wrapping_pow(8);
+
+/// `P⁸ᵏ` for `k` in `0..=64`: `k` zero weights folded into one multiply.
+const ZERO_RUN: [u64; 65] = {
+    let mut table = [1u64; 65];
+    let mut k = 1;
+    while k < table.len() {
+        table[k] = table[k - 1].wrapping_mul(FNV_PRIME_8);
+        k += 1;
+    }
+    table
+};
+
+/// Bit `i` is set when `chunk[i]` (at most 64 weights) is a sink. Built
+/// a byte at a time, whose shifts are constants once unrolled.
+#[inline]
+fn sink_mask(chunk: &[usize]) -> u64 {
+    chunk.chunks(8).enumerate().fold(0, |mask, (byte, group)| {
+        let bits = group
+            .iter()
+            .enumerate()
+            .fold(0u64, |bits, (bit, &w)| bits | u64::from(w != 0) << bit);
+        mask | bits << (8 * byte)
+    })
+}
+
+/// Folds `k` zero weights into the FNV-1a state `h`. A zero's step is
+/// `(h ^ 0)·P⁸ = h·P⁸`, and wrapping multiplication is associative, so
+/// a run of `k` is one multiply by `P⁸ᵏ`, in pieces of at most 64.
+#[inline]
+fn fold_zeros(mut h: u64, mut k: usize) -> u64 {
+    while k > 64 {
+        h = h.wrapping_mul(ZERO_RUN[64]);
+        k -= 64;
+    }
+    h.wrapping_mul(ZERO_RUN[k])
+}
 
 /// Folds `v`'s eight little-endian bytes into the FNV-1a state `h`.
 ///
@@ -128,6 +197,7 @@ mod tests {
     use super::*;
     use crate::MAX_VOTERS;
     use ld_core::delegation::Action;
+    use ld_live::workload::{Trace, TraceConfig};
     use ld_live::Update;
     use ld_prob::rng::{for_each_case, Rng, StdRng};
 
@@ -378,6 +448,120 @@ mod tests {
         assert!(
             (t.p_correct - engine.decision_probability_normal(TieBreak::CoinFlip)).abs() < 1e-9
         );
+    }
+
+    /// An engine whose weights are `weights`: each sink of weight `w`
+    /// takes `w − 1` of the non-sinks as direct delegators, and the
+    /// non-sinks left over abstain.
+    fn engine_with_weights(weights: &[u64], rng: &mut StdRng) -> LiveEngine {
+        let mut actions = vec![Action::Abstain; weights.len()];
+        let mut free = (0..weights.len()).filter(|&v| weights[v] == 0);
+        for (sink, &w) in weights.iter().enumerate().filter(|&(_, &w)| w != 0) {
+            actions[sink] = Action::Vote;
+            for _ in 1..w {
+                let delegator = free.next().expect("enough non-sinks to carry the weights");
+                actions[delegator] = Action::Delegate(sink);
+            }
+        }
+        let competences = (0..weights.len()).map(|_| competence(rng)).collect();
+        let engine = LiveEngine::new(actions, competences).expect("engine");
+        let built: Vec<u64> = engine.weights().iter().map(|&w| w as u64).collect();
+        assert_eq!(built, weights, "the engine carries the hand-built weights");
+        engine
+    }
+
+    /// `of`, and the barrier's reuse of a stale buffer (too short, and
+    /// longer than the electorate), against the three-pass oracle.
+    fn assert_matches_three_passes(engine: &LiveEngine, what: &str) {
+        let want = three_pass_of(engine);
+        let n = engine.n();
+        for (buffer, how) in [
+            (Vec::new(), "fresh"),
+            (vec![u64::MAX; 7], "short stale buffer"),
+            (vec![5; n + 100], "long stale buffer"),
+        ] {
+            let got = PublishedTally::into_buffer(engine, buffer);
+            let outcome = std::panic::catch_unwind(|| assert_same_bits(&got, &want));
+            assert!(outcome.is_ok(), "{what} ({how})");
+        }
+    }
+
+    /// Sinks (weight 1 here) separated by zero runs of `runs`' lengths,
+    /// after `offset` leading sinks so the runs cross word boundaries
+    /// at different places, with a trailing run of `runs[0]` zeros.
+    fn zero_runs(offset: usize, runs: &[usize]) -> Vec<u64> {
+        let mut weights = vec![1; offset];
+        for &run in runs {
+            weights.push(1);
+            weights.extend(std::iter::repeat_n(0, run));
+        }
+        weights.extend(std::iter::repeat_n(0, runs[0]));
+        weights
+    }
+
+    #[test]
+    #[ignore = "large-n differential; run in release with --ignored"]
+    fn sink_only_pass_matches_three_passes_at_large_n_and_on_edge_vectors() {
+        const RUNS: [usize; 6] = [0, 1, 63, 64, 65, 200];
+        let mut rng = StdRng::seed_from_u64(29);
+        // Zero runs of every edge length, each ahead of every other.
+        for offset in [0, 1, 31, 63, 64, 65] {
+            for first in 0..RUNS.len() {
+                let mut runs = RUNS;
+                runs.rotate_left(first);
+                let weights = zero_runs(offset, &runs);
+                let engine = engine_with_weights(&weights, &mut rng);
+                assert_matches_three_passes(&engine, &format!("runs {runs:?} after {offset}"));
+            }
+        }
+        // A single sink, and every voter a sink, around word sizes.
+        for n in [1, 2, 63, 64, 65, 127, 128, 129, 1000] {
+            for sink in [0, n / 2, n - 1] {
+                for w in [1, n as u64] {
+                    let mut weights = vec![0; n];
+                    weights[sink] = w;
+                    let engine = engine_with_weights(&weights, &mut rng);
+                    assert_matches_three_passes(&engine, &format!("one sink {w} at {sink} of {n}"));
+                }
+            }
+            let engine = engine_with_weights(&vec![1; n], &mut rng);
+            assert_matches_three_passes(&engine, &format!("all {n} voters sinks"));
+        }
+        // Weights of 256 and more (the byte-wise digest branch) next to
+        // zero runs, sinks and each other; the spare non-sinks abstain.
+        let mut weights = Vec::new();
+        for (run, heavy) in [
+            (0, 256),
+            (1, 300),
+            (63, 257),
+            (64, 65_536),
+            (65, 1000),
+            (200, 511),
+        ] {
+            weights.extend(std::iter::repeat_n(0, run));
+            weights.push(heavy);
+            weights.push(1);
+            weights.push(heavy);
+        }
+        weights.extend(std::iter::repeat_n(0, 2 * 68_000));
+        let engine = engine_with_weights(&weights, &mut rng);
+        assert_matches_three_passes(&engine, "heavy sinks beside zero runs");
+        // Seeded balanced churn, as a live election sees it, at an
+        // electorate a multiple of 64 voters and at a ragged one.
+        for n in [100_000, 100_003] {
+            let config = TraceConfig::balanced(n);
+            let mut engine =
+                LiveEngine::new(vec![Action::Vote; n], config.initial_competences(n as u64))
+                    .expect("engine");
+            let mut trace = Trace::new(config, 29).expect("trace");
+            assert_matches_three_passes(&engine, &format!("n {n}, no churn"));
+            for checkpoint in 1..=6 {
+                for update in trace.by_ref().take(n / 2) {
+                    let _ = engine.apply(update);
+                }
+                assert_matches_three_passes(&engine, &format!("n {n}, checkpoint {checkpoint}"));
+            }
+        }
     }
 
     #[test]

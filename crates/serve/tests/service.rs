@@ -550,6 +550,76 @@ fn durable_round_trip_with_heavy_sinks_recovers_the_committed_digest() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The barrier writes an epoch's weights into the buffer of a replaced
+/// snapshot only when no reader holds that snapshot any more. A held
+/// snapshot keeps its weights and digest across later flushes; a dropped
+/// one's buffer carries the epoch after next.
+#[test]
+fn a_held_snapshot_never_changes_while_dropped_ones_lend_their_buffers() {
+    let n = 300;
+    let updates = stream(n, 1400, 0xB0FF);
+    for durable in [false, true] {
+        let dir = scratch("buffer-reuse");
+        let mut cfg = ElectionConfig::new(n as u32);
+        cfg.window = Duration::from_secs(10);
+        cfg.publish_every = 0;
+        cfg.dir = durable.then(|| dir.clone());
+        let election = Election::create(&cfg).expect("create");
+        let buffer = |snap: &ld_serve::EpochSnapshot| snap.tally.weights.as_ptr() as usize;
+        // Epoch 0 is dropped at once, epoch 1 is held to the end, and
+        // every later one is dropped after its checks.
+        let mut buffers = vec![buffer(&election.snapshot())];
+        let mut held = None;
+        for (round, chunk) in updates.chunks(200).enumerate() {
+            for &u in chunk {
+                election.submit(u).expect("submit");
+            }
+            drop(election.flush().expect("flush"));
+            let snap = election.snapshot();
+            let epoch = round + 1;
+            assert_eq!(snap.epoch, epoch as u64);
+            let (engine, _) = oracle(n, &updates[..200 * epoch]);
+            let what = format!("durable {durable}, epoch {epoch}");
+            assert_matches_engine(&snap, &engine, &what);
+            let t = &snap.tally;
+            assert_eq!(
+                tally_digest(&t.weights, t.discarded, t.tallied),
+                t.digest,
+                "{what}"
+            );
+            buffers.push(buffer(&snap));
+            if epoch == 1 {
+                let (weights, digest) = (snap.tally.weights.clone(), snap.tally.digest);
+                held = Some((snap, weights, digest));
+                continue;
+            }
+            let (kept, weights, digest) = held.as_ref().expect("epoch 1 is held");
+            let t = &kept.tally;
+            assert_eq!(t.weights, *weights, "{what}: held weights");
+            assert_eq!(t.digest, *digest, "{what}: held digest");
+            assert_eq!(
+                tally_digest(&t.weights, t.discarded, t.tallied),
+                t.digest,
+                "{what}: held weights digest to the held digest"
+            );
+            assert_ne!(
+                buffers[epoch], buffers[1],
+                "{what}: the held buffer is not written"
+            );
+            if epoch == 3 {
+                // Epoch 2 replaced the held epoch 1, so it left no spare.
+                assert_ne!(buffers[epoch], buffers[epoch - 2], "{what}: fresh buffer");
+            } else {
+                assert_eq!(buffers[epoch], buffers[epoch - 2], "{what}: reused buffer");
+            }
+        }
+        assert!(buffers.len() >= 6, "enough epochs to see both paths");
+        drop(held);
+        election.shutdown().expect("shutdown");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn query_is_answered_while_another_requests_flush_is_in_progress() {
     let n = 100_000;
