@@ -25,6 +25,9 @@ cargo test --workspace --release -q
 echo "==> large-n direct-voting DP differential (banded vs naive full-width DP, n = 16384)"
 cargo test --release -q -p ld-testkit --test direct_dp_differential -- --ignored
 
+echo "==> large-n weighted DP differential (majority floor vs full DP, bit for bit; n = 10000 and 16385, subnormal tails)"
+cargo test --release -q -p ld-prob --test weighted_floor_differential -- --ignored
+
 echo "==> large-n Algorithm 1 differential (run vs act loop, resolve vs recursive oracle; K_n at 2^17, 8-regular at 2^16)"
 cargo test --release -q -p ld-testkit --test algorithm1_large_n -- --ignored
 

@@ -5,32 +5,28 @@
 //! [`DelegationGraph::resolve`] runs it once and snapshots the result as
 //! an owned [`Resolution`], while Monte Carlo loops keep one forest and
 //! resolve millions of draws into it without allocating. The forest
-//! holds one reusable `u32` arena laid out as
+//! holds two reusable `u32` arrays of `n` entries:
 //!
 //! ```text
-//!         0 ────────── n ──────────── 2n+1 ─────────── 2n+1+tallied
-//! arena = [ sink_of .. | offsets .... | members ......]
-//!           n words      n+1 words      tallied words
+//! sink_of = [ sink of voter 0 | sink of voter 1 | ... ]   (or DISCARDED)
+//! weight  = [ votes voter 0 casts | votes voter 1 casts | ... ]
 //! ```
 //!
 //! * `sink_of[i]` — the sink that casts voter `i`'s vote, or
 //!   [`DISCARDED`] when the chain ends at an abstainer;
-//! * `offsets[s] .. offsets[s+1]` — the half-open member range of sink
-//!   `s` in the `members` section, so `weight(s)` is just the difference
-//!   of two adjacent words (no separate weight array);
-//! * `members` — voter ids grouped by sink (a counting sort of
-//!   `sink_of`), i.e. the full subtree carried by each sink.
+//! * `weight[v]` — the votes sink `v` casts (its own plus every vote
+//!   delegated to it), 0 unless `v` is a sink.
 //!
 //! [`CsrForest::resolve`] is an iterative chase with path memoisation
-//! that writes straight into the arena and never allocates once the
-//! buffers have grown to the working size.
-//! [`CsrForest::fold_weighted_coins`] is the structure-of-arrays tally
-//! kernel: one branch-light pass over the offsets section folding a coin
-//! vector against the implied weights.
+//! that writes both arrays in one pass and never allocates once the
+//! buffers have grown to the working size. Every tally reads only
+//! `weight`: [`CsrForest::fold_weighted_coins`] folds a coin vector
+//! against it, and [`CsrForest::exact_correct_probability`] feeds its
+//! sinks to the weighted Poisson-binomial.
 //!
 //! For bit-packed coin vectors (64 voters per `u64` word, as drawn by
 //! `ld_prob::coins`), [`CsrForest::pack_sink_weights`] transposes the
-//! implied weight array into [`PackedSinkWeights`] bit-planes — plane `b`
+//! weight array into [`PackedSinkWeights`] bit-planes — plane `b`
 //! holds bit `b` of every sink's weight, voter `i` at bit `i % 64` of
 //! word `i / 64` — and [`CsrForest::fold_weighted_coins_packed`] reduces
 //! a whole word per plane with `popcount(coins & plane) << b`, summing
@@ -39,8 +35,8 @@
 //! The differential conformance suite (`ld-testkit`'s `resolve-oracle`
 //! and `csr-tally-oracle` checks) pins this module against the naive
 //! recursive oracles on the full seeded grid;
-//! [`CsrForest::skew_offsets_for_tests`] exists so the suite can prove a
-//! deliberate off-by-one in the offsets section is actually caught.
+//! [`CsrForest::skew_weights_for_tests`] exists so the suite can prove a
+//! deliberately misplaced vote in the weight array is actually caught.
 
 use crate::delegation::{Action, DelegationGraph, Resolution};
 use crate::error::{CoreError, Result};
@@ -48,8 +44,8 @@ use crate::instance::ProblemInstance;
 use crate::tally::TieBreak;
 use ld_prob::poisson_binomial::WeightedBernoulliSum;
 
-/// Sentinel in the `sink_of` section: the voter's chain reached an
-/// abstainer and the vote is discarded.
+/// Sentinel in `sink_of`: the voter's chain reached an abstainer and the
+/// vote is discarded.
 pub const DISCARDED: u32 = u32::MAX;
 
 /// Sentinel used only *during* a resolve: the voter has not been chased
@@ -133,14 +129,18 @@ impl PackedSinkWeights {
 /// let mut forest = CsrForest::new();
 /// forest.resolve(&dg)?;
 /// assert_eq!(forest.weight_of(2), 3);
-/// assert_eq!(forest.members_of(2), &[0, 1, 2]);
+/// assert_eq!(forest.weight_of(0), 0);
 /// assert_eq!(forest.sink_of(0), Some(2));
+/// assert_eq!(forest.sink_weights().collect::<Vec<_>>(), [(2, 3)]);
 /// # Ok::<(), ld_core::CoreError>(())
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct CsrForest {
-    /// `[sink_of: n][offsets: n+1][members: tallied]`.
-    arena: Vec<u32>,
+    /// Per-voter sink, or [`DISCARDED`]; `n` entries.
+    sink_of: Vec<u32>,
+    /// Per-voter cast votes, plus one trailing slot that counts the
+    /// discarded votes during a resolve; `n + 1` entries.
+    weight: Vec<u32>,
     /// Voters in the currently-held resolution.
     n: usize,
     /// Votes discarded through abstention.
@@ -162,7 +162,7 @@ pub struct CsrForest {
     next: Vec<u32>,
     /// Per-voter chain depth in edges.
     depth: Vec<u32>,
-    /// Sorted-weights buffer for [`CsrForest::weight_gini`].
+    /// Voters per weight `0..=max_weight`, for [`CsrForest::weight_gini`].
     gini: Vec<u32>,
     /// `(weight, competency)` buffer for
     /// [`CsrForest::exact_correct_probability`].
@@ -178,7 +178,8 @@ impl CsrForest {
     /// A forest with buffers pre-sized for `n`-voter graphs.
     pub fn with_capacity(n: usize) -> Self {
         CsrForest {
-            arena: Vec::with_capacity(3 * n + 1),
+            sink_of: Vec::with_capacity(n),
+            weight: Vec::with_capacity(n + 1),
             next: Vec::with_capacity(n),
             depth: Vec::with_capacity(n),
             cap_n: n,
@@ -192,7 +193,7 @@ impl CsrForest {
         n <= self.cap_n
     }
 
-    /// Resolves `dg` into the arena, replacing any previous contents.
+    /// Resolves `dg` into the forest, replacing any previous contents.
     ///
     /// Errors come in a fixed precedence (`DelegateMany` first, then
     /// out-of-range targets in voter order, then cycles); self-delegation
@@ -265,28 +266,32 @@ impl CsrForest {
         }
         self.n = n;
         self.cap_n = self.cap_n.max(n);
-        self.arena.clear();
-        self.arena.resize(3 * n + 1, 0);
+        self.sink_of.clear();
+        self.sink_of.resize(n, UNRESOLVED);
+        self.weight.clear();
+        self.weight.resize(n + 1, 0);
         self.depth.clear();
         self.depth.resize(n, 0);
-        let (sink_of, rest) = self.arena.split_at_mut(n);
-        sink_of.fill(UNRESOLVED);
 
-        // Phase 1: chase with path memoisation, latest voter first (see
-        // above). A chase walks `next` to the first voter that is already
-        // resolved or ends the chain itself (a vote, a self-delegation or
-        // an abstention, resolved on the spot), then walks the same path
+        // Chase with path memoisation, latest voter first (see above). A
+        // chase walks `next` to the first voter that is already resolved
+        // or ends the chain itself (a vote, a self-delegation or an
+        // abstention, resolved on the spot), then walks the same path
         // again writing its terminal and depth. No acyclic chain has more
-        // than n - 1 edges, so a walk longer than n is a cycle.
+        // than n - 1 edges, so a walk longer than n is a cycle. Every
+        // voter is written once, so adding each chase's newly resolved
+        // voters to its terminal's weight counts every vote exactly
+        // once; `weight[n]` takes the discarded ones.
+        let (sink_of, weight) = (&mut self.sink_of, &mut self.weight);
         let (next, depth) = (&self.next, &mut self.depth);
-        let (mut discarded, mut longest_chain) = (0usize, 0u32);
+        let mut longest_chain = 0u32;
         for start in (0..n).rev() {
-            let (mut end, mut len) = (start, 0u32);
+            let (mut end, mut len, mut own) = (start, 0u32, 0u32);
             while sink_of[end] == UNRESOLVED {
                 let t = next[end];
                 if t == end as u32 || t == DISCARDED {
                     sink_of[end] = t;
-                    discarded += usize::from(t == DISCARDED);
+                    own = 1;
                     break;
                 }
                 if len as usize == n {
@@ -305,55 +310,20 @@ impl CsrForest {
                 depth[v] = base + above;
                 v = next[v] as usize;
             }
-            if terminal == DISCARDED {
-                discarded += len as usize;
-            }
+            weight[(terminal as usize).min(n)] += len + own;
             longest_chain = longest_chain.max(base + len);
         }
+        let (mut max_weight, mut sink_count) = (0u32, 0usize);
+        for &w in &weight[..n] {
+            max_weight = max_weight.max(w);
+            sink_count += usize::from(w > 0);
+        }
 
-        // Phase 2: counting sort of voters by sink, in place in the arena.
-        // `rest` is [offsets: n+1][members: n]; offsets first accumulates
-        // counts, then the exclusive prefix sum, then (after the scatter
-        // bumps each entry to its group's end) one word-shift right
-        // restores "offsets[s] = start of group s".
-        let (offsets, members) = rest.split_at_mut(n + 1);
-        for &s in sink_of.iter() {
-            if s != DISCARDED {
-                offsets[s as usize] += 1;
-            }
-        }
-        let mut running = 0u32;
-        let mut max_weight = 0usize;
-        let mut sink_count = 0usize;
-        for off in offsets.iter_mut().take(n) {
-            let count = *off;
-            if count > 0 {
-                sink_count += 1;
-                max_weight = max_weight.max(count as usize);
-            }
-            *off = running;
-            running += count;
-        }
-        offsets[n] = running;
-        for (i, &s) in sink_of.iter().enumerate() {
-            if s != DISCARDED {
-                members[offsets[s as usize] as usize] = i as u32;
-                offsets[s as usize] += 1;
-            }
-        }
-        // The scatter bumped each offset to its group's *end*; slide one
-        // slot right and re-seat 0 to restore "offsets[s] = group start"
-        // (offsets[n] then lands on end of the last group = tallied).
-        offsets.copy_within(0..n, 1);
-        offsets[0] = 0;
-
-        self.discarded = discarded;
+        self.discarded = weight[n] as usize;
         self.delegators = delegators;
         self.longest_chain = longest_chain as usize;
-        self.max_weight = max_weight;
+        self.max_weight = max_weight as usize;
         self.sink_count = sink_count;
-        let tallied = n - discarded;
-        self.arena.truncate(2 * n + 1 + tallied);
         Ok(true)
     }
 
@@ -392,15 +362,10 @@ impl CsrForest {
         self.sink_count
     }
 
-    /// The offsets section: `offsets()[s]..offsets()[s + 1]` is sink `s`'s
-    /// member range; `offsets()[n]` is the tallied total.
-    pub fn offsets(&self) -> &[u32] {
-        &self.arena[self.n..2 * self.n + 1]
-    }
-
-    /// The members section: voter ids grouped by sink.
-    pub fn members(&self) -> &[u32] {
-        &self.arena[2 * self.n + 1..]
+    /// The weight array: `weights()[v]` votes are cast by voter `v` (0
+    /// unless `v` is a sink).
+    fn weights(&self) -> &[u32] {
+        &self.weight[..self.n]
     }
 
     /// The sink that casts voter `i`'s vote, or `None` if discarded.
@@ -410,7 +375,7 @@ impl CsrForest {
     /// Panics if `i >= self.n()`.
     pub fn sink_of(&self, i: usize) -> Option<usize> {
         assert!(i < self.n, "voter {i} out of range (n = {})", self.n);
-        match self.arena[i] {
+        match self.sink_of[i] {
             DISCARDED => None,
             s => Some(s as usize),
         }
@@ -422,46 +387,34 @@ impl CsrForest {
     ///
     /// Panics if `v >= self.n()`.
     pub fn weight_of(&self, v: usize) -> usize {
-        let off = self.offsets();
-        (off[v + 1] - off[v]) as usize
-    }
-
-    /// The voters whose votes land at sink `s` (including `s` itself),
-    /// in increasing order. Empty unless `s` is a sink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s >= self.n()`.
-    pub fn members_of(&self, s: usize) -> &[u32] {
-        let off = self.offsets();
-        &self.members()[off[s] as usize..off[s + 1] as usize]
+        self.weights()[v] as usize
     }
 
     /// Iterator over `(sink, weight)` pairs in increasing sink order.
     pub fn sink_weights(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let off = self.offsets();
-        (0..self.n)
-            .map(move |s| (s, (off[s + 1] - off[s]) as usize))
-            .filter(|&(_, w)| w > 0)
+        self.weights()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &w)| w > 0)
+            .map(|(s, &w)| (s, w as usize))
     }
 
     /// The structure-of-arrays tally kernel: folds a per-voter coin vector
-    /// over the implied weight array in one branch-light pass, returning
-    /// the total weight behind `true` coins. Only sinks' coins matter
-    /// (a sink votes its whole subtree's weight); non-sinks contribute
-    /// weight 0 regardless of their coin.
+    /// over the weight array in one branch-free pass, returning the
+    /// total weight behind `true` coins. Only sinks' coins matter (a sink
+    /// votes its whole subtree's weight); non-sinks contribute weight 0
+    /// regardless of their coin.
     ///
     /// # Panics
     ///
     /// Panics if `coins.len() < self.n()`.
     pub fn fold_weighted_coins(&self, coins: &[bool]) -> u64 {
         assert!(coins.len() >= self.n, "coin vector shorter than n");
-        let off = self.offsets();
-        let mut acc = 0u64;
-        for s in 0..self.n {
-            acc += u64::from(off[s + 1] - off[s]) * u64::from(coins[s]);
-        }
-        acc
+        self.weights()
+            .iter()
+            .zip(coins)
+            .map(|(&w, &c)| u64::from(w) * u64::from(c))
+            .sum()
     }
 
     /// Transposes the held resolution's sink weights into `out`'s
@@ -470,22 +423,31 @@ impl CsrForest {
     /// — at most `ceil(log2(n + 1))` word-passes per fold. The pack is
     /// per-resolution scratch: rebuild it after every [`Self::resolve`],
     /// never inside the tally loop.
+    ///
+    /// The transpose has no branch on a weight or a bit: eight lanes'
+    /// bytes `(w >> low) as u8` are loaded as one `u64`, and each plane
+    /// `b` in `low..low + 8` takes bit `b − low` of all eight bytes at
+    /// once, gathered into one byte by a multiply (the bits sit 8 apart,
+    /// so the partial products never carry into the top byte).
     pub fn pack_sink_weights(&self, out: &mut PackedSinkWeights) {
+        const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+        const GATHER: u64 = 0x0102_0408_1020_4080;
         let words = self.n.div_ceil(64);
-        let bits = usize::BITS as usize - self.max_weight.leading_zeros() as usize;
+        let bits = (usize::BITS - self.max_weight.leading_zeros()) as usize;
         out.words = words;
         out.planes.clear();
         out.planes.resize(bits * words, 0);
-        let off = self.offsets();
-        for s in 0..self.n {
-            let w = u64::from(off[s + 1] - off[s]);
-            if w == 0 {
-                continue;
-            }
-            let lane = 1u64 << (s % 64);
-            for b in 0..bits {
-                if (w >> b) & 1 == 1 {
-                    out.planes[b * words + s / 64] |= lane;
+        for (i, lanes) in self.weights().chunks(8).enumerate() {
+            let (word, shift) = (i / 8, 8 * (i % 8));
+            for low in (0..bits).step_by(8) {
+                let mut bytes = [0u8; 8];
+                for (byte, &w) in bytes.iter_mut().zip(lanes) {
+                    *byte = (w >> low) as u8;
+                }
+                let x = u64::from_le_bytes(bytes);
+                for b in low..bits.min(low + 8) {
+                    let gathered = ((x >> (b - low)) & LOW_BITS).wrapping_mul(GATHER) >> 56;
+                    out.planes[b * words + word] |= gathered << shift;
                 }
             }
         }
@@ -511,8 +473,10 @@ impl CsrForest {
 
     /// Exact probability that the held resolution decides correctly on
     /// `instance` — [`crate::tally::exact_correct_probability`] on the
-    /// held resolution, reusing an internal term buffer. Bit-identical to
-    /// the `Resolution` path: terms are emitted in increasing sink order.
+    /// held resolution, reusing an internal term buffer, bit for bit:
+    /// terms are emitted in increasing sink order, and the weighted DP
+    /// skips only the pmf entries that can no longer reach a majority
+    /// ([`WeightedBernoulliSum::majority_with_ties_of`]).
     ///
     /// # Errors
     ///
@@ -526,15 +490,15 @@ impl CsrForest {
         let mut terms = std::mem::take(&mut self.terms);
         terms.clear();
         terms.extend(self.sink_weights().map(|(s, w)| (w, ps[s])));
-        let sum = WeightedBernoulliSum::new(&terms);
+        let p = WeightedBernoulliSum::majority_with_ties_of(&terms, self.tallied(), tie.credit());
         self.terms = terms;
-        Ok(sum?.majority_with_ties(self.tallied(), tie.credit()))
+        Ok(p?)
     }
 
     /// The Gini coefficient of voting power across **all** voters (weight
     /// 0 for non-sinks): 0 for direct voting (everyone holds one vote),
     /// approaching 1 for a dictatorship. Returns 0 when no votes were
-    /// tallied. `&mut` only for the internal sort buffer.
+    /// tallied. `&mut` only for the internal counting buffer.
     ///
     /// Concentration of voting power is exactly what the empirical liquid
     /// democracy studies the paper cites (\[26\] on the Pirate Party's
@@ -547,24 +511,26 @@ impl CsrForest {
         if n == 0 || total == 0 {
             return 0.0;
         }
-        let (arena, gini) = (&self.arena, &mut self.gini);
-        let off = &arena[n..2 * n + 1];
         // Sorted-weights formula with 1-based ranks:
         // G = (2 Σ_i i·w_(i)) / (n Σ w) − (n + 1)/n.
-        // Zero weights contribute nothing to the rank sum (a `0.0` term
-        // leaves an f64 sum bit-identical), and sorted ascending they all
-        // precede the sinks — so only sink weights need sorting, with
-        // their ranks offset past the implicit zero block.
-        gini.clear();
-        gini.extend((0..n).map(|s| off[s + 1] - off[s]).filter(|&w| w > 0));
-        gini.sort_unstable();
-        let rank_offset = n - gini.len();
-        let weighted_rank_sum: f64 = self
-            .gini
-            .iter()
-            .enumerate()
-            .map(|(idx, &w)| ((rank_offset + idx) as f64 + 1.0) * w as f64)
-            .sum();
+        // Weights are at most `max_weight`, so a counting sort orders
+        // them. Zero weights precede the sinks and add nothing to the rank
+        // sum, so the sum starts past them and adds the sinks' terms in
+        // ascending weight order.
+        let counts = &mut self.gini;
+        counts.clear();
+        counts.resize(self.max_weight + 1, 0);
+        for &w in &self.weight[..n] {
+            counts[w as usize] += 1;
+        }
+        let mut rank = counts[0] as usize;
+        let mut weighted_rank_sum = 0.0f64;
+        for (w, &count) in counts.iter().enumerate().skip(1) {
+            for _ in 0..count {
+                weighted_rank_sum += (rank as f64 + 1.0) * w as f64;
+                rank += 1;
+            }
+        }
         let nf = n as f64;
         (2.0 * weighted_rank_sum / (nf * total as f64) - (nf + 1.0) / nf).max(0.0)
     }
@@ -572,35 +538,35 @@ impl CsrForest {
     /// Materializes the held resolution as an owning [`Resolution`] — the
     /// interop/cross-check path; allocates, so keep it off hot loops.
     pub fn to_resolution(&self) -> Resolution {
-        let sink_of: Vec<Option<usize>> = (0..self.n).map(|i| self.sink_of(i)).collect();
-        let off = self.offsets();
-        let weight: Vec<usize> = (0..self.n)
-            .map(|s| (off[s + 1] - off[s]) as usize)
-            .collect();
         Resolution::from_parts(
-            sink_of,
-            weight,
+            (0..self.n).map(|i| self.sink_of(i)).collect(),
+            self.weights().iter().map(|&w| w as usize).collect(),
             self.discarded,
             self.delegators,
             self.longest_chain,
         )
     }
 
-    /// **Testing only.** Injects a deliberate off-by-one into the interior
-    /// offsets: every boundary `offsets[1..n]` is pulled down by one slot
-    /// (saturating at the previous boundary), shifting one vote from each
-    /// group into its successor. Offsets stay monotone, so all accessors
-    /// remain memory-safe — but weights and memberships are now wrong
-    /// wherever the forest has at least one tallied vote. The
-    /// differential `resolve-oracle` and `csr-tally-oracle` checks must
-    /// catch this on essentially every grid cell; `ld-testkit` wires it up as the `csr-offset`
-    /// mutation.
-    pub fn skew_offsets_for_tests(&mut self) {
+    /// **Testing only.** Misplaces votes in the weight array: every sink
+    /// `s < n − 1`, in increasing order, hands one vote to voter `s + 1`,
+    /// and `max_weight`/`sink_count` are recounted so the packed planes
+    /// carry the skewed weights. The total and `sink_of` are unchanged,
+    /// but the weights are now wrong wherever some sink other than voter
+    /// `n − 1` exists (on direct voting the first voter loses its vote
+    /// and the last one gains it). The differential `resolve-oracle`,
+    /// `csr-tally-oracle` and `packed-tally-oracle` checks must catch
+    /// this; `ld-testkit` wires it up as the `csr-offset` mutation.
+    pub fn skew_weights_for_tests(&mut self) {
         let n = self.n;
-        let offsets = &mut self.arena[n..2 * n + 1];
-        for i in 1..n {
-            offsets[i] = offsets[i].saturating_sub(1).max(offsets[i - 1]);
+        for s in 0..n.saturating_sub(1) {
+            if self.sink_of[s] == s as u32 {
+                self.weight[s] -= 1;
+                self.weight[s + 1] += 1;
+            }
         }
+        let weights = &self.weight[..n];
+        self.max_weight = weights.iter().copied().max().unwrap_or(0) as usize;
+        self.sink_count = weights.iter().filter(|&&w| w > 0).count();
     }
 }
 
@@ -626,8 +592,8 @@ mod tests {
             Action::Vote,
         ]);
         assert_eq!(forest.weight_of(3), 4);
-        assert_eq!(forest.members_of(3), &[0, 1, 2, 3]);
-        assert_eq!(forest.sink_of(0), Some(3));
+        assert_eq!(forest.weights(), &[0, 0, 0, 4]);
+        assert!((0..4).all(|v| forest.sink_of(v) == Some(3)));
         assert_eq!(forest.longest_chain(), 3);
         assert_eq!(forest.delegators(), 3);
         assert_eq!(forest.max_weight(), 4);
@@ -642,7 +608,7 @@ mod tests {
         assert_eq!(forest.sink_of(2), Some(2));
         assert_eq!(forest.discarded(), 2);
         assert_eq!(forest.tallied(), 1);
-        assert_eq!(forest.members_of(2), &[2]);
+        assert_eq!(forest.weights(), &[0, 0, 1]);
     }
 
     #[test]
@@ -739,12 +705,12 @@ mod tests {
     }
 
     #[test]
-    fn skewed_offsets_are_visible_through_the_packed_fold() {
+    fn skewed_weights_are_visible_through_the_packed_fold() {
         let mut forest = resolved(vec![Action::Vote; 4]);
         let mut packed = PackedSinkWeights::new();
         forest.pack_sink_weights(&mut packed);
         let honest = forest.fold_weighted_coins_packed(&packed, &[0b0101]);
-        forest.skew_offsets_for_tests();
+        forest.skew_weights_for_tests();
         forest.pack_sink_weights(&mut packed);
         let skewed = forest.fold_weighted_coins_packed(&packed, &[0b0101]);
         assert_ne!(honest, skewed, "the csr-offset mutation must be observable");
@@ -769,18 +735,113 @@ mod tests {
     }
 
     #[test]
-    fn skewed_offsets_change_weights_but_stay_monotone() {
-        let mut forest = resolved(vec![Action::Vote; 4]);
-        let honest: Vec<usize> = (0..4).map(|v| forest.weight_of(v)).collect();
-        forest.skew_offsets_for_tests();
-        let skewed: Vec<usize> = (0..4).map(|v| forest.weight_of(v)).collect();
-        assert_ne!(honest, skewed, "the mutation must be observable");
-        let off = forest.offsets().to_vec();
-        assert!(
-            off.windows(2).all(|w| w[0] <= w[1]),
-            "offsets stay monotone"
-        );
-        assert_eq!(*off.last().unwrap() as usize, forest.tallied());
+    fn skewed_weights_move_votes_but_keep_the_total() {
+        for (actions, want) in [
+            (vec![Action::Vote; 4], vec![0, 1, 1, 2]),
+            // One sink below the top voter hands a vote to a delegator,
+            // which the packed planes must then carry as a new sink.
+            (
+                vec![Action::Delegate(1), Action::Vote, Action::Delegate(1)],
+                vec![0, 2, 1],
+            ),
+        ] {
+            let mut forest = resolved(actions);
+            let sinks: Vec<_> = (0..forest.n()).map(|v| forest.sink_of(v)).collect();
+            forest.skew_weights_for_tests();
+            assert_eq!(forest.weights(), want, "the mutation must be observable");
+            assert_eq!(
+                forest.weights().iter().sum::<u32>() as usize,
+                forest.tallied()
+            );
+            let now: Vec<_> = (0..forest.n()).map(|v| forest.sink_of(v)).collect();
+            assert_eq!(now, sinks);
+            assert_eq!(forest.max_weight(), *want.iter().max().unwrap() as usize);
+            assert_eq!(forest.sink_count(), want.iter().filter(|&&w| w > 0).count());
+        }
+    }
+
+    #[test]
+    fn weights_count_the_voters_each_sink_receives() {
+        use ld_prob::rng::{Rng, StdRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
+        let mut forest = CsrForest::new();
+        for n in [1usize, 2, 7, 64, 65, 300] {
+            for _ in 0..8 {
+                let actions: Vec<Action> = (0..n)
+                    .map(|_| match rng.gen_range(0u8..10) {
+                        0 => Action::Abstain,
+                        1..=6 => Action::Delegate(rng.gen_range(0..n)),
+                        _ => Action::Vote,
+                    })
+                    .collect();
+                if forest.resolve(&DelegationGraph::new(actions)).is_err() {
+                    continue;
+                }
+                let mut landed = vec![0u32; n];
+                for v in 0..n {
+                    if let Some(s) = forest.sink_of(v) {
+                        landed[s] += 1;
+                    }
+                }
+                assert_eq!(forest.weights(), landed, "n={n}");
+                let discarded = (0..n).filter(|&v| forest.sink_of(v).is_none()).count();
+                assert_eq!(forest.discarded(), discarded);
+                assert_eq!(forest.max_weight(), *landed.iter().max().unwrap() as usize);
+                assert_eq!(
+                    forest.sink_count(),
+                    landed.iter().filter(|&&w| w > 0).count()
+                );
+            }
+        }
+    }
+
+    /// The comparison sort `weight_gini` used before the counting sort.
+    fn sorted_gini(forest: &CsrForest) -> f64 {
+        let n = forest.n();
+        let total = forest.tallied();
+        if n == 0 || total == 0 {
+            return 0.0;
+        }
+        let mut sorted: Vec<u32> = forest
+            .weights()
+            .iter()
+            .copied()
+            .filter(|&w| w > 0)
+            .collect();
+        sorted.sort_unstable();
+        let rank_offset = n - sorted.len();
+        let weighted_rank_sum: f64 = sorted
+            .iter()
+            .enumerate()
+            .map(|(idx, &w)| ((rank_offset + idx) as f64 + 1.0) * w as f64)
+            .sum();
+        let nf = n as f64;
+        (2.0 * weighted_rank_sum / (nf * total as f64) - (nf + 1.0) / nf).max(0.0)
+    }
+
+    #[test]
+    fn counting_sort_gini_is_bit_identical_to_the_sorted_sum() {
+        use ld_prob::rng::{Rng, StdRng};
+
+        let mut rng = StdRng::seed_from_u64(0x6141);
+        let mut forest = CsrForest::new();
+        for n in [1usize, 2, 10, 129, 1000] {
+            for delegate in [0u8, 3, 6, 9] {
+                let actions: Vec<Action> = (0..n)
+                    .map(|v| match rng.gen_range(0u8..10) {
+                        0 => Action::Abstain,
+                        d if d <= delegate && v + 1 < n => {
+                            Action::Delegate(rng.gen_range(v + 1..n))
+                        }
+                        _ => Action::Vote,
+                    })
+                    .collect();
+                forest.resolve(&DelegationGraph::new(actions)).unwrap();
+                let want = sorted_gini(&forest);
+                assert_eq!(forest.weight_gini().to_bits(), want.to_bits(), "n={n}");
+            }
+        }
     }
 
     #[test]

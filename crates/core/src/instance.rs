@@ -4,6 +4,7 @@
 use crate::competency::CompetencyProfile;
 use crate::error::{CoreError, Result};
 use ld_graph::Graph;
+use ld_prob::poisson_binomial::PoissonBinomial;
 use std::fmt;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -40,6 +41,10 @@ pub struct ProblemInstance {
     /// (see [`ProblemInstance::approval_rows`]). A function of the three
     /// fields above, filled on first use; `==` and `Debug` ignore it.
     cuts: OnceLock<Box<[u32]>>,
+    /// The direct-voting distribution (see
+    /// [`ProblemInstance::direct_distribution`]): a function of the
+    /// profile, filled on first use; `==` and `Debug` ignore it.
+    direct: OnceLock<PoissonBinomial>,
 }
 
 impl PartialEq for ProblemInstance {
@@ -88,6 +93,7 @@ impl ProblemInstance {
             profile,
             alpha,
             cuts: OnceLock::new(),
+            direct: OnceLock::new(),
         })
     }
 
@@ -193,6 +199,20 @@ impl ProblemInstance {
     /// Panics if `i >= self.n()`.
     pub fn approval_count(&self, i: usize) -> usize {
         self.approval_rows(i).len()
+    }
+
+    /// The exact distribution of correct votes under **direct voting**:
+    /// the Poisson-binomial of the profile's competences. It depends on
+    /// the profile alone, so it is computed on the first call (the
+    /// banded `O(n · band)` DP) and kept; every later call, and every
+    /// [`crate::tally::direct_probability`] under any tie rule, reads the
+    /// same value. An instance reused across gain estimates, mechanisms
+    /// or tie rules pays for the DP once.
+    pub fn direct_distribution(&self) -> &PoissonBinomial {
+        self.direct.get_or_init(|| {
+            PoissonBinomial::new(self.profile.as_slice())
+                .expect("a validated profile holds probabilities")
+        })
     }
 
     /// The exact probability that **direct voting** decides correctly on
@@ -315,13 +335,19 @@ mod tests {
         let (filled, empty) = (build(), build());
         let unfilled_debug = format!("{filled:?}");
         filled.approval_cuts();
+        filled.direct_distribution();
         assert_eq!(filled, empty);
         assert_eq!(empty, filled);
         assert_eq!(format!("{filled:?}"), unfilled_debug);
         assert_eq!(format!("{filled:?}"), format!("{empty:?}"));
         assert!(!unfilled_debug.contains("cuts"));
+        assert!(!unfilled_debug.contains("direct"));
         assert_eq!(filled.clone(), empty.clone());
         assert_eq!(filled.clone().approval_cuts(), empty.approval_cuts());
+        assert_eq!(
+            filled.clone().direct_distribution(),
+            empty.clone().direct_distribution()
+        );
         // Each field still counts.
         let other = ProblemInstance::new(
             generators::complete(7),
@@ -330,6 +356,37 @@ mod tests {
         )
         .unwrap();
         assert_ne!(filled, other);
+    }
+
+    #[test]
+    fn cached_direct_distribution_is_bit_equal_to_a_fresh_one() {
+        use crate::tally::{direct_probability, TieBreak};
+        use ld_prob::poisson_binomial::PoissonBinomial;
+        let profiles = [
+            CompetencyProfile::linear(1024, 0.40, 0.60).unwrap(),
+            CompetencyProfile::linear(101, 0.05, 0.35).unwrap(),
+            CompetencyProfile::constant(64, 0.5).unwrap(),
+            CompetencyProfile::new(vec![0.0, 0.0, 1.0, 1.0]).unwrap(),
+            CompetencyProfile::new(vec![]).unwrap(),
+        ];
+        let ties = [TieBreak::Incorrect, TieBreak::CoinFlip, TieBreak::Correct];
+        for profile in profiles {
+            let fresh = PoissonBinomial::new(profile.as_slice()).unwrap();
+            let n = profile.n();
+            let inst = ProblemInstance::new(generators::complete(n), profile, 0.05).unwrap();
+            // Every tie rule, twice: the first call fills the cache, the
+            // rest read it.
+            for tie in ties.into_iter().chain(ties) {
+                let want = fresh.majority_with_ties(tie.credit());
+                let got = direct_probability(&inst, tie).unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "n = {n}, {tie:?}");
+            }
+            assert_eq!(inst.direct_distribution(), &fresh);
+            assert!(std::ptr::eq(
+                inst.direct_distribution(),
+                inst.direct_distribution()
+            ));
+        }
     }
 
     #[test]

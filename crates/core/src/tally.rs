@@ -11,7 +11,7 @@
 use crate::delegation::{Action, DelegationGraph, Resolution};
 use crate::error::Result;
 use crate::instance::ProblemInstance;
-use ld_prob::poisson_binomial::{PoissonBinomial, WeightedBernoulliSum};
+use ld_prob::poisson_binomial::WeightedBernoulliSum;
 use ld_prob::rng::{Rng, RngCore};
 
 /// How an exact tie between correct and incorrect weight is scored.
@@ -65,14 +65,19 @@ pub fn exact_correct_probability(
 
 /// The exact probability that **direct voting** decides correctly: the
 /// Poisson-binomial of the profile's competences under the majority rule
-/// over all `n` votes, ties credited per `tie`.
+/// over all `n` votes, ties credited per `tie`. The distribution is the
+/// instance's own ([`ProblemInstance::direct_distribution`]), computed
+/// once per instance.
 ///
 /// # Errors
 ///
-/// Propagates probability-layer validation errors.
+/// None: a validated profile always yields a distribution. The
+/// signature matches the other tally functions, whose errors callers
+/// propagate alike.
 pub fn direct_probability(instance: &ProblemInstance, tie: TieBreak) -> Result<f64> {
-    let sum = PoissonBinomial::new(instance.profile().as_slice())?;
-    Ok(sum.majority_with_ties(tie.credit()))
+    Ok(instance
+        .direct_distribution()
+        .majority_with_ties(tie.credit()))
 }
 
 /// Samples one election outcome for an arbitrary delegation graph

@@ -213,79 +213,39 @@ impl WeightedBernoulliSum {
         for &(_, p) in terms {
             check_probability(p, "weighted Bernoulli parameter")?;
         }
-        let total: usize = terms.iter().map(|&(w, _)| w).sum();
-        let mut pmf = vec![0.0f64; total + 1];
-        let mut next = vec![0.0f64; total + 1];
-        pmf[0] = 1.0;
-        // `pmf[len..]` is zero; so is `pmf` outside `zl..=zh`, and it is
-        // below `f64::MIN_POSITIVE` outside `lo..=hi`, which is never
-        // empty because the mass is ~1.
-        let (mut len, mut zl, mut zh, mut lo, mut hi) = (1usize, 0usize, 0usize, 0usize, 0usize);
-        for &(w, p) in terms {
-            if w == 0 {
-                continue;
-            }
-            let q = 1.0 - p;
-            let (cur, out) = (&pmf[..], &mut next[..len + w]);
-            // The stale buffer may hold mass anywhere below `len`.
-            out[..zl].fill(0.0);
-            out[zh + w + 1..].fill(0.0);
-            // Entries with a normal input: `lo..=hi` and `lo + w..=hi + w`.
-            let fast = |out: &mut [f64], range: Range<usize>| {
-                let split = range.end.min(w).max(range.start);
-                for (o, &c) in out[range.start..split].iter_mut().zip(&cur[range.start..]) {
-                    *o = c * q;
-                }
-                if split < range.end {
-                    let both = out[split..range.end].iter_mut().zip(&cur[split..]);
-                    for ((o, &c), &b) in both.zip(&cur[split - w..]) {
-                        *o = c * q + b * p;
-                    }
-                }
-            };
-            let (by_q, by_p) = (SubnormalScale::new(q), SubnormalScale::new(p));
-            let exact = |out: &mut [f64], range: Range<usize>| {
-                for (t, o) in range.clone().zip(&mut out[range]) {
-                    let below = if t >= w { cur[t - w] } else { 0.0 };
-                    *o = f64::from_bits(by_q.apply(cur[t]) + by_p.apply(below));
-                }
-            };
-            exact(out, zl..lo);
-            if lo + w <= hi + 1 {
-                fast(out, lo..hi + w + 1);
-            } else {
-                fast(out, lo..hi + 1);
-                exact(out, hi + 1..lo + w);
-                fast(out, lo + w..hi + w + 1);
-            }
-            exact(out, hi + w + 1..zh + w + 1);
-            len += w;
-            zl += out[zl..].iter().position(|&v| v != 0.0).expect("mass ~1");
-            zh = out[..=zh + w]
-                .iter()
-                .rposition(|&v| v != 0.0)
-                .expect("mass ~1");
-            lo = zl
-                + out[zl..]
-                    .iter()
-                    .position(|&v| v >= f64::MIN_POSITIVE)
-                    .expect("mass ~1");
-            hi = out[..=zh]
-                .iter()
-                .rposition(|&v| v >= f64::MIN_POSITIVE)
-                .expect("mass ~1");
-            std::mem::swap(&mut pmf, &mut next);
-        }
         let mean = terms.iter().map(|&(w, p)| w as f64 * p).sum();
         let variance = terms
             .iter()
             .map(|&(w, p)| (w as f64).powi(2) * p * (1.0 - p))
             .sum();
         Ok(WeightedBernoulliSum {
-            pmf,
+            pmf: weighted_pmf(terms, 0),
             mean,
             variance,
         })
+    }
+
+    /// `WeightedBernoulliSum::new(terms)?.majority_with_ties(total_votes,
+    /// tie_credit)`, bit for bit, without the pmf entries the answer
+    /// cannot depend on: the answer reads only entries `t ≥
+    /// total_votes / 2`, and with weight `R` still to add an entry below
+    /// `total_votes / 2 − R` can no longer reach them, so the DP drops it
+    /// and stops as soon as nothing above that floor is left.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProbError::InvalidProbability`] for a parameter outside
+    /// `[0, 1]`.
+    pub fn majority_with_ties_of(
+        terms: &[(usize, f64)],
+        total_votes: usize,
+        tie_credit: f64,
+    ) -> Result<f64> {
+        for &(_, p) in terms {
+            check_probability(p, "weighted Bernoulli parameter")?;
+        }
+        let pmf = weighted_pmf(terms, total_votes / 2);
+        Ok(majority(&pmf, total_votes, tie_credit))
     }
 
     /// Total weight `W = Σ w_i`.
@@ -332,13 +292,108 @@ impl WeightedBernoulliSum {
     /// probability `tie_credit` (0 for the paper's pessimistic rule, 0.5
     /// for a fair coin flip).
     pub fn majority_with_ties(&self, total_votes: usize, tie_credit: f64) -> f64 {
-        let strict = self.strict_majority(total_votes);
-        if total_votes.is_multiple_of(2) {
-            strict + tie_credit * self.pmf(total_votes / 2)
-        } else {
-            strict
-        }
+        majority(&self.pmf, total_votes, tie_credit)
     }
+}
+
+/// The majority rule of [`WeightedBernoulliSum::majority_with_ties`] on a
+/// pmf whose entries from `total_votes / 2` on are exact.
+fn majority(pmf: &[f64], total_votes: usize, tie_credit: f64) -> f64 {
+    // X > total/2  ⇔  2X > total  ⇔  X ≥ total/2 + 1 (integer X)
+    let strict: f64 = pmf.iter().skip(total_votes / 2 + 1).sum();
+    if total_votes.is_multiple_of(2) {
+        strict + tie_credit * pmf.get(total_votes / 2).copied().unwrap_or(0.0)
+    } else {
+        strict
+    }
+}
+
+/// The DP of [`WeightedBernoulliSum::new`] over already-checked terms,
+/// exact at every entry `t ≥ need`. With `need = 0` every entry is
+/// exact. Otherwise, after each term, entries below `need − R` (`R` the
+/// weight still to add) are set to 0: no later term lifts them to
+/// `need`, and each later entry at or above the next floor reads only
+/// entries at or above this one, so those come out bit for bit as in
+/// the full DP. Once nothing above the floor is left the rest is 0.
+fn weighted_pmf(terms: &[(usize, f64)], need: usize) -> Vec<f64> {
+    let total: usize = terms.iter().map(|&(w, _)| w).sum();
+    let mut pmf = vec![0.0f64; total + 1];
+    let mut next = vec![0.0f64; total + 1];
+    pmf[0] = 1.0;
+    // `pmf[len..]` is zero; so is `pmf` outside `zl..=zh`, and it is
+    // below `f64::MIN_POSITIVE` outside `lo..=hi` (empty when
+    // `lo == zh + 1`). The stale buffer `next` is zero below `stale`.
+    let (mut len, mut zl, mut zh, mut lo, mut hi) = (1usize, 0usize, 0usize, 0usize, 0usize);
+    let (mut rest, mut stale) = (total, 0usize);
+    for &(w, p) in terms {
+        if w == 0 {
+            continue;
+        }
+        let q = 1.0 - p;
+        let (cur, out) = (&pmf[..], &mut next[..len + w]);
+        out[stale..zl].fill(0.0);
+        out[zh + w + 1..].fill(0.0);
+        // Entries with a normal input: `lo..=hi` and `lo + w..=hi + w`.
+        let fast = |out: &mut [f64], range: Range<usize>| {
+            let split = range.end.min(w).max(range.start);
+            for (o, &c) in out[range.start..split].iter_mut().zip(&cur[range.start..]) {
+                *o = c * q;
+            }
+            if split < range.end {
+                let both = out[split..range.end].iter_mut().zip(&cur[split..]);
+                for ((o, &c), &b) in both.zip(&cur[split - w..]) {
+                    *o = c * q + b * p;
+                }
+            }
+        };
+        let (by_q, by_p) = (SubnormalScale::new(q), SubnormalScale::new(p));
+        let exact = |out: &mut [f64], range: Range<usize>| {
+            for (t, o) in range.clone().zip(&mut out[range]) {
+                let below = if t >= w { cur[t - w] } else { 0.0 };
+                *o = f64::from_bits(by_q.apply(cur[t]) + by_p.apply(below));
+            }
+        };
+        exact(out, zl..lo);
+        if lo + w <= hi + 1 {
+            fast(out, lo..hi + w + 1);
+        } else {
+            fast(out, lo..hi + 1);
+            exact(out, hi + 1..lo + w);
+            fast(out, lo + w..hi + w + 1);
+        }
+        exact(out, hi + w + 1..zh + w + 1);
+        len += w;
+        rest -= w;
+        let floor = need.saturating_sub(rest).max(zl);
+        out[zl..floor.min(zh + w + 1)].fill(0.0);
+        stale = zl;
+        let Some(first) = out[..=zh + w]
+            .get(floor..)
+            .and_then(|live| live.iter().position(|&v| v != 0.0))
+        else {
+            // Nothing that can reach `need` is left: every entry is 0.
+            std::mem::swap(&mut pmf, &mut next);
+            break;
+        };
+        zl = floor + first;
+        zh = out[..=zh + w]
+            .iter()
+            .rposition(|&v| v != 0.0)
+            .expect("zl holds mass");
+        let normal = &out[zl..=zh];
+        lo = zl
+            + normal
+                .iter()
+                .position(|&v| v >= f64::MIN_POSITIVE)
+                .unwrap_or(normal.len());
+        hi = zl
+            + normal
+                .iter()
+                .rposition(|&v| v >= f64::MIN_POSITIVE)
+                .unwrap_or(normal.len() - 1);
+        std::mem::swap(&mut pmf, &mut next);
+    }
+    pmf
 }
 
 /// Multiplication by a fixed `y` in `[0, 1]` of values `x` below
@@ -675,6 +730,70 @@ mod tests {
         assert!(
             subnormal_entries > 1000,
             "only {subnormal_entries} subnormal entries: the integer path went untested"
+        );
+    }
+
+    #[test]
+    fn majority_above_the_floor_is_bit_identical_to_the_full_dp() {
+        use crate::rng::{for_each_case, Rng};
+        let (mut nothing_left, mut subnormal_entries) = (0usize, 0usize);
+        for_each_case("majority_above_the_floor", 256, |rng| {
+            // `n` voters' worth of weight split over up to `n` terms, so
+            // one term may carry every vote. One case in eight is a long
+            // sum of light terms, whose tails turn subnormal.
+            let long = rng.gen_range(0u32..8) == 0;
+            let n = if long {
+                rng.gen_range(1100usize..=1600)
+            } else {
+                rng.gen_range(1usize..=300)
+            };
+            let mut left = n;
+            let mut terms = Vec::new();
+            while left > 0 {
+                let w = match rng.gen_range(0u32..5) {
+                    _ if long => rng.gen_range(1..=left.min(2)),
+                    0 => 0,
+                    1 => left,
+                    2 => rng.gen_range(1..=left),
+                    _ => rng.gen_range(1..=left.min(3)),
+                };
+                let p = match rng.gen_range(0u32..9) {
+                    _ if long && rng.gen_bool(0.9) => rng.gen_range(0.2..0.8),
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => rng.gen_range(0.0..1e-300),
+                    3 => 1.0 - rng.gen_range(0.0..1e-15),
+                    4 => 10f64.powi(-rng.gen_range(1i32..=320)),
+                    5 => 0.5,
+                    _ => rng.gen_range(0.0..1.0),
+                };
+                terms.push((w, p));
+                left -= w;
+            }
+            let full = WeightedBernoulliSum::new(&terms).unwrap();
+            let total = full.total_weight();
+            subnormal_entries += full.pmf.iter().filter(|v| v.is_subnormal()).count();
+            let below = rng.gen_range(0..total.max(1));
+            for votes in [total, total - 1, below] {
+                if full.tail_ge(votes / 2) == 0.0 {
+                    nothing_left += 1;
+                }
+                for credit in [0.0, 0.5, 1.0] {
+                    let want = full.majority_with_ties(votes, credit);
+                    let got =
+                        WeightedBernoulliSum::majority_with_ties_of(&terms, votes, credit).unwrap();
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{votes} votes at tie credit {credit} of {terms:?}"
+                    );
+                }
+            }
+        });
+        assert!(nothing_left > 10, "the early stop ran {nothing_left} times");
+        assert!(
+            subnormal_entries > 100,
+            "only {subnormal_entries} subnormal entries"
         );
     }
 

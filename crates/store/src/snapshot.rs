@@ -10,7 +10,7 @@
 //! [actions:    n × u32]                 (VOTE / ABSTAIN sentinels, else target)
 //! [competence: n × u64]                 (f64 bit patterns)
 //! [depth:      n × u32]                 (chain depth in edges)
-//! [arena:      (2n+1+tallied) × u32]    (the ld-core CSR arena verbatim)
+//! [arena:      (2n+1+tallied) × u32]    (sink_of, offsets, members)
 //! [crc32 of everything after the magic: u32]
 //! ```
 //!
@@ -20,9 +20,14 @@
 //! the tail instead of walking `applied` frames. Because the resolved view (`sink_of` via
 //! the arena, `depth`) is stored alongside the inputs, rehydration is
 //! [`LiveEngine::from_resolved_parts`] — flat `O(n)` validation passes,
-//! no resolver run, no JSON. Only the arena's `sink_of` prefix is read
-//! back; its offsets and members sections are still written, sized and
-//! CRC-checked, so the file format is unchanged.
+//! no resolver run, no JSON. The arena is the snapshot's own CSR
+//! layout, built from the engine's `sink_of` by a counting sort:
+//! `sink_of` (n words, [`DISCARDED`] for abstention chains), then
+//! `offsets` (n + 1 words; sink `s`'s members are
+//! `members[offsets[s]..offsets[s + 1]]`), then `members` (voter ids
+//! grouped by sink). Only its `sink_of` prefix is read back; the offsets
+//! and members sections are still written, sized and CRC-checked, so
+//! the file format is unchanged.
 //!
 //! Writes are atomic and durable: temp file, streamed chunked writes
 //! through the store's [`FaultClock`], fsync, rename into place, fsync

@@ -356,6 +356,9 @@ pub struct WalWriter {
     records: u64,
     len_bytes: u64,
     since_sync: u64,
+    /// Whether the file changed since its last fsync: a write, or a
+    /// truncation or header rewrite on reopen.
+    dirty: bool,
     sync_every: u64,
     scratch: Vec<u8>,
     obs: WalObs,
@@ -444,6 +447,7 @@ impl WalWriter {
             .write(true)
             .open(path)
             .map_err(&ioerr)?;
+        let truncated = file.metadata().map_err(&ioerr)?.len() != found.file_valid_len;
         let mut file = FaultFile::new(file, clock);
         // A torn header has `file_valid_len` 0: the file is rewritten.
         file.set_len(found.file_valid_len).map_err(&ioerr)?;
@@ -460,6 +464,9 @@ impl WalWriter {
                 records: found.covered + found.scan.records(),
                 len_bytes,
                 since_sync: 0,
+                // A cut tail is not durable until the next fsync; count a
+                // rewritten header the same way.
+                dirty: truncated || found.header_torn,
                 sync_every,
                 scratch: Vec::with_capacity(4096),
                 obs: WalObs::resolve(),
@@ -496,6 +503,7 @@ impl WalWriter {
             encode_record(u, &mut self.scratch);
         }
         let bytes = self.scratch.len() as u64;
+        self.dirty = true;
         let write = self.file.write_all(&self.scratch);
         write.map_err(StoreError::io("append wal", &self.path))?;
         self.obs.appends.add(updates.len() as u64);
@@ -509,18 +517,24 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Forces an fsync now.
+    /// Makes everything written so far durable: an fsync, unless nothing
+    /// changed since the last one (a barrier right after a batch that
+    /// filled the `sync_every` window costs nothing).
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`].
     pub fn sync(&mut self) -> Result<(), StoreError> {
+        if !self.dirty {
+            return Ok(());
+        }
         let start = Instant::now();
         let synced = self.file.sync_data();
         self.obs.fsync_ns.record(start.elapsed().as_nanos() as u64);
         synced.map_err(StoreError::io("fsync wal", &self.path))?;
         self.obs.fsyncs.incr();
         self.since_sync = 0;
+        self.dirty = false;
         Ok(())
     }
 
@@ -540,7 +554,7 @@ impl Drop for WalWriter {
     fn drop(&mut self) {
         // Best-effort durability on clean shutdown; errors are already
         // survivable by design (recovery truncates).
-        if self.since_sync > 0 {
+        if self.dirty {
             self.file.sync_data().ok();
         }
     }

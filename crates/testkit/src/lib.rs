@@ -55,9 +55,9 @@ pub enum Mutation {
     /// Invert the tie-break credit in the exact tally: exact ties are
     /// credited `1 − credit` instead of `credit`.
     TieFlip,
-    /// Skew the CSR forest's interior group offsets by one slot, shifting
-    /// a vote between consecutive sinks
-    /// (`CsrForest::skew_offsets_for_tests`).
+    /// Misplace votes in the CSR forest's weight array: every sink but
+    /// the last voter hands one vote to the next voter
+    /// (`CsrForest::skew_weights_for_tests`).
     CsrOffset,
     /// Skip the frame CRC32 comparison when scanning the write-ahead
     /// log, so corrupted records decode "successfully" (a testkit-local
