@@ -83,8 +83,8 @@ echo "==> serve selftest (wire-codec round trip through the loopback host)"
 echo "==> dynamics differential gate (brute-force best-response oracle + round-boundary replay)"
 ./target/release/repro conformance --quick --only dynamics-oracle,dynamics-replay
 
-echo "==> dynamics smoke (best-response loop over the quick topology grid, digest-pinned)"
-./target/release/repro dynamics --quick
+echo "==> dynamics smoke (best-response loop over the quick topology grid, digest-pinned; every round teed through a WAL, recovery checked bit for bit)"
+./target/release/repro dynamics --quick --wal target/dyn-wal-smoke
 
 echo "==> ranked differential gate (brute-force ranked-resolution oracle + live replay)"
 ./target/release/repro conformance --quick --only ranked-resolve-oracle,ranked-live-replay

@@ -6,7 +6,7 @@
 //! weighted-majority graphs, which admit no exact DP).
 
 use crate::csr::{CsrForest, PackedSinkWeights};
-use crate::delegation::{Action, DelegationGraph};
+use crate::delegation::DelegationGraph;
 use crate::error::Result;
 use crate::instance::ProblemInstance;
 use crate::mechanisms::Mechanism;
@@ -206,8 +206,8 @@ pub enum DrawTally<'a> {
 }
 
 /// Records one mechanism draw into a [`GainEstimate`]: the per-trial
-/// pipeline shared by [`estimate_gain_with`], the parallel engine and
-/// the dynamics tally in `ld-sim`.
+/// pipeline shared by [`estimate_gain_with`] and the parallel engine in
+/// `ld-sim`.
 ///
 /// Single-target draws resolve into the caller's reusable
 /// [`CsrForest`] (no allocation once its buffers have grown) and are
@@ -284,23 +284,10 @@ pub fn accumulate_draw(
 /// coin buffer plus the sink-weight bit-plane transpose. Both only ever
 /// grow, so one instance serves an unbounded trial stream without
 /// allocating after warm-up.
-///
-/// The scratch also caches which delegation outcome its weight planes
-/// were packed from: consecutive draws that produce the *same* action
-/// vector (deterministic mechanisms, and dynamics rounds re-tallying one
-/// forest many times) skip the resolve + re-pack entirely. The cache
-/// assumes the paired [`CsrForest`] is resolved only through
-/// [`accumulate_draw`] with this scratch — pair one scratch with one
-/// forest, as the `ld-sim` callers do.
 #[derive(Debug, Default, Clone)]
 pub struct PackedTallyScratch {
     coins: Vec<u64>,
     weights: PackedSinkWeights,
-    /// Action vector the current `weights` planes were packed from, one
-    /// [`cache_key`] per voter (a sixth of an `Action`'s size); compared
-    /// by equality, never by hash, so a stale hit is impossible. `None`
-    /// until the first pack, and for outcomes with an unencodable target.
-    cached_actions: Option<Vec<u32>>,
 }
 
 impl PackedTallyScratch {
@@ -309,9 +296,9 @@ impl PackedTallyScratch {
         PackedTallyScratch::default()
     }
 
-    /// Resolves and packs `dg` unless the planes already hold it, then
+    /// Resolves `dg` into `forest`, packs its sink weights into planes and
     /// folds `samples` packed coin vectors against them. `None`, with no
-    /// randomness drawn and the cache kept, for a multi-target `dg`.
+    /// randomness drawn, for a multi-target `dg`.
     fn sample(
         &mut self,
         dg: &DelegationGraph,
@@ -321,36 +308,10 @@ impl PackedTallyScratch {
         tie: TieBreak,
         rng: &mut dyn RngCore,
     ) -> Result<Option<f64>> {
-        // Re-packing the same delegation outcome is pure overhead: the
-        // resolve and the plane transpose are deterministic in the action
-        // vector, so a cache hit leaves bit-identical planes in place and
-        // consumes no randomness — cached and uncached runs produce
-        // bit-identical estimates.
-        let actions = dg.actions();
-        let hit = self.cached_actions.as_deref().is_some_and(|cached| {
-            cached.len() == actions.len()
-                && cached
-                    .iter()
-                    .zip(actions)
-                    .all(|(&k, a)| cache_key(a) == Some(k))
-        });
-        if !hit {
-            // Taken before the resolve, so a failed resolve leaves no
-            // cache entry pointing at a half-written forest.
-            let cached = self.cached_actions.take();
-            if !forest.try_resolve(dg)? {
-                // The forest and planes are untouched: the entry still holds.
-                self.cached_actions = cached;
-                return Ok(None);
-            }
-            forest.pack_sink_weights(&mut self.weights);
-            let mut keys = cached.unwrap_or_default();
-            keys.clear();
-            keys.extend(actions.iter().map_while(cache_key));
-            if keys.len() == actions.len() {
-                self.cached_actions = Some(keys);
-            }
+        if !forest.try_resolve(dg)? {
+            return Ok(None);
         }
+        forest.pack_sink_weights(&mut self.weights);
         let total = forest.tallied() as u64;
         let samples = samples.max(1);
         let (mut wins, mut ties) = (0u64, 0u64);
@@ -363,19 +324,6 @@ impl PackedTallyScratch {
         Ok(Some(
             (wins as f64 + tie.credit() * ties as f64) / f64::from(samples),
         ))
-    }
-}
-
-/// One single-target action as a `u32`: the target itself, or one of the
-/// two largest values for a direct vote or an abstention. `None` for a
-/// target too large to tell apart from those (never cached) and for
-/// multi-target actions (which never reach the packed tally).
-fn cache_key(action: &Action) -> Option<u32> {
-    match *action {
-        Action::Vote => Some(u32::MAX),
-        Action::Abstain => Some(u32::MAX - 1),
-        Action::Delegate(t) => u32::try_from(t).ok().filter(|&t| t < u32::MAX - 1),
-        Action::DelegateMany(_) => None,
     }
 }
 
@@ -402,6 +350,7 @@ pub fn empty_estimate(instance: &ProblemInstance, tie: TieBreak) -> Result<GainE
 mod tests {
     use super::*;
     use crate::competency::CompetencyProfile;
+    use crate::delegation::Action;
     use crate::mechanisms::{Abstaining, ApprovalThreshold, DirectVoting, GreedyMax};
     use ld_graph::generators;
     use ld_prob::rng::StdRng;
@@ -632,11 +581,11 @@ mod tests {
     }
 
     #[test]
-    fn packed_plane_cache_is_bit_identical_to_uncached() {
+    fn reused_scratch_is_bit_identical_to_fresh() {
         // A deterministic mechanism emits the same delegation outcome
-        // every draw, so the cached run packs the planes once; a run
-        // with a fresh scratch per draw re-packs each time. Both must
-        // produce bit-identical estimates from the same rng stream.
+        // every draw. One scratch reused across the draws and a fresh
+        // scratch per draw must produce bit-identical estimates from the
+        // same rng stream.
         let inst = complete_instance(40, 0.35, 0.65);
         let dg = GreedyMax.run(&inst, &mut StdRng::seed_from_u64(13));
         let competence = PackedCompetence::new(inst.profile().as_slice()).unwrap();
@@ -663,40 +612,22 @@ mod tests {
             }
             est
         };
-        let cached = run(false);
-        let uncached = run(true);
+        let reused = run(false);
+        let fresh = run(true);
         assert_eq!(
-            cached.p_mechanism().to_bits(),
-            uncached.p_mechanism().to_bits()
+            reused.p_mechanism().to_bits(),
+            fresh.p_mechanism().to_bits()
         );
-        assert_eq!(cached.mean_max_weight(), uncached.mean_max_weight());
-        assert_eq!(cached.mean_weight_gini(), uncached.mean_weight_gini());
-        assert_eq!(cached.trials(), uncached.trials());
+        assert_eq!(reused.mean_max_weight(), fresh.mean_max_weight());
+        assert_eq!(reused.mean_weight_gini(), fresh.mean_weight_gini());
+        assert_eq!(reused.trials(), fresh.trials());
     }
 
     #[test]
-    fn cache_keys_tell_single_target_actions_apart() {
-        let top = u32::MAX as usize - 2;
-        let keys: Vec<u32> = [
-            Action::Vote,
-            Action::Abstain,
-            Action::Delegate(0),
-            Action::Delegate(top),
-        ]
-        .iter()
-        .map(|a| cache_key(a).expect("encodable"))
-        .collect();
-        let distinct: std::collections::HashSet<_> = keys.iter().collect();
-        assert_eq!(distinct.len(), keys.len(), "{keys:?}");
-        assert_eq!(cache_key(&Action::Delegate(top + 1)), None);
-        assert_eq!(cache_key(&Action::DelegateMany(vec![1, 2])), None);
-    }
-
-    #[test]
-    fn packed_plane_cache_misses_on_a_changed_outcome() {
-        // Alternating between two different delegation outcomes must
-        // miss every draw: a false hit would leave the forest stale and
-        // corrupt the (rng-independent) structural statistics.
+    fn reused_scratch_follows_a_changed_outcome() {
+        // Alternating between two different delegation outcomes through
+        // one scratch and forest: a stale forest would corrupt the
+        // (rng-independent) structural statistics.
         let inst = complete_instance(24, 0.35, 0.65);
         let mech = ApprovalThreshold::new(1);
         let dg_a = mech.run(&inst, &mut StdRng::seed_from_u64(15));
@@ -726,10 +657,10 @@ mod tests {
     }
 
     #[test]
-    fn failed_resolve_drops_the_plane_cache() {
+    fn failed_resolve_leaves_no_stale_planes() {
         // A cyclic draw errors halfway through the resolve; the next
-        // draw of the previously cached outcome must resolve again
-        // rather than read the half-written forest.
+        // draw of the previous outcome must resolve again rather than
+        // read the half-written forest.
         let inst = complete_instance(12, 0.35, 0.65);
         let dg = GreedyMax.run(&inst, &mut StdRng::seed_from_u64(18));
         let mut cyclic = vec![crate::delegation::Action::Delegate(1); 12];

@@ -17,7 +17,7 @@
 //! repro store-bench            # snapshot+tail vs full-log replay (>=10x gate)
 //! repro conformance --quick    # differential/metamorphic conformance gate
 //! repro dynamics --quick       # best-response re-delegation to fixpoint/cycle
-//! repro dynamics --kernel packed --wal results/dynwal  # stress kernels + WAL tee
+//! repro dynamics --quick --wal results/dynwal  # tee each round through a WAL, check recovery
 //! repro ranked --quick         # MinDepth/MinSum ranked delegations, DNH-gated
 //! repro serve-bench --quick    # election service: throughput + p50/p99 + oracle check
 //! repro serve-bench --dir D --kill-at K  # commit an epoch, then die abruptly
@@ -113,11 +113,10 @@ static COMMANDS: &[Command] = &[
     },
     Command {
         name: "dynamics",
-        usage: "usage: repro dynamics [--quick] [--seed N] [--workers N] \
-                [--kernel exact|packed[:samples]] [--rounds N] [--coalitions K1,K2,...] \
-                [--wal DIR] [--obs-summary] [--obs-jsonl PATH]",
+        usage: "usage: repro dynamics [--quick] [--seed N] [--workers N] [--rounds N] \
+                [--coalitions K1,K2,...] [--wal DIR] [--obs-summary] [--obs-jsonl PATH]",
         switches: "--quick|-q --obs-summary",
-        valued: "--seed|-s --workers|-w --kernel --rounds --coalitions --wal --obs-jsonl",
+        valued: "--seed|-s --workers|-w --rounds --coalitions --wal --obs-jsonl",
         check: dynamics_command,
     },
     Command {
@@ -763,19 +762,18 @@ fn conformance_command(a: &Args) -> Result<Run, String> {
 }
 
 /// Handles `repro dynamics [--quick] [--seed N] [--workers N]
-/// [--kernel exact|packed[:samples]] [--rounds N] [--coalitions K1,K2,..]
-/// [--wal DIR] [--obs-summary] [--obs-jsonl PATH]`: runs best-response
+/// [--rounds N] [--coalitions K1,K2,..] [--wal DIR] [--obs-summary]
+/// [--obs-jsonl PATH]`: runs best-response
 /// re-delegation rounds over the seeded topology grid to a fixpoint, a
 /// detected limit cycle, or the round cap, then sweeps a seeded
 /// variance-seeking coalition of each requested size. Every trajectory
 /// is deterministic given `(seed, round)` — the printed grid digest is
-/// bit-identical across worker counts and Exact/Packed kernels. With
+/// bit-identical across worker counts. With
 /// `--wal DIR` every round's accepted moves are teed through an
 /// `ld-store` WAL and recovery is verified bit-for-bit; a divergence
 /// (or a grid with no converging cell) is a non-zero exit.
 fn dynamics_command(a: &Args) -> Result<Run, String> {
     use ld_sim::dynamics::{run_dynamics, DynamicsConfig};
-    use ld_sim::engine::TallyKernel;
 
     let seed = a.get("--seed")?.unwrap_or(ExperimentConfig::default().seed);
     let mut cfg = if a.has("--quick") {
@@ -783,20 +781,6 @@ fn dynamics_command(a: &Args) -> Result<Run, String> {
     } else {
         DynamicsConfig::new(seed)
     };
-    cfg.kernel = a
-        .get_with("--kernel", |v| {
-            let kernel = match v.split_once(':') {
-                None if v == "exact" => Some(TallyKernel::Exact),
-                None if v == "packed" => Some(TallyKernel::Packed { samples: 64 }),
-                Some(("packed", s)) => s
-                    .parse()
-                    .ok()
-                    .map(|samples| TallyKernel::Packed { samples }),
-                _ => None,
-            };
-            kernel.ok_or("want exact | packed[:samples]")
-        })?
-        .unwrap_or(TallyKernel::Exact);
     if let Some(w) = a.get_with("--workers", at_least_one)? {
         cfg.workers = w;
     }
@@ -814,10 +798,9 @@ fn dynamics_command(a: &Args) -> Result<Run, String> {
     let obs = ObsSinks::of(a)?;
     Ok(Box::new(move || {
         eprintln!(
-            "dynamics: {} grid, seed {seed}, {} worker(s), {:?} kernel, cap {} round(s){} ...",
+            "dynamics: {} grid, seed {seed}, {} worker(s), cap {} round(s){} ...",
             if cfg.quick { "quick" } else { "full" },
             cfg.workers,
-            cfg.kernel,
             cfg.max_rounds,
             if cfg.wal.is_some() { ", WAL tee" } else { "" }
         );
@@ -1609,10 +1592,9 @@ mod tests {
         "store-bench --seed 1",
         "conformance -q -s 2 -j c.json --only tally-oracle --case n8 --no-corpus",
         "conformance --seed 9 --json c.json --mutate tie-flip",
-        "dynamics -q -s 2 -w 2 --kernel packed:32 --rounds 4 --coalitions 1,2 --wal d \
-         --obs-summary --obs-jsonl e.jsonl",
-        "dynamics --quick --seed 1 --workers 1 --kernel exact",
-        "dynamics --kernel packed",
+        "dynamics -q -s 2 -w 2 --rounds 4 --coalitions 1,2 --wal d --obs-summary \
+         --obs-jsonl e.jsonl",
+        "dynamics --quick --seed 1 --workers 1",
         "ranked -q -s 2 --ranks 3 --trials 4",
         "ranked --quick --seed 1",
         "serve-bench -q -s 2 --n 64 --updates 100 --window-us 50 --publish-every 4 \
@@ -1670,6 +1652,16 @@ mod tests {
         ("dynamics --quick --coalitions", "--coalitions"),
         ("dynamics --quick --coalitions 1,x", "--coalitions"),
         ("dynamics --quick --coalitions 1,2,", "--coalitions"),
+        (
+            "dynamics -q -s 2 -w 2 --kernel packed:32 --rounds 4 --coalitions 1,2 --wal d \
+             --obs-summary --obs-jsonl e.jsonl",
+            "--kernel",
+        ),
+        (
+            "dynamics --quick --seed 1 --workers 1 --kernel exact",
+            "--kernel",
+        ),
+        ("dynamics --kernel packed", "--kernel"),
         ("dynamics --kernel packed:lots", "--kernel"),
         ("dynamics --quick --workers 0", "--workers"),
         ("dynamics --quick --rounds 0", "--rounds"),

@@ -6,26 +6,20 @@
 //! cells, the one-shot mechanism that produces each cell's initial
 //! delegation state, a **parallel** per-round proposal evaluator that is
 //! bit-identical to the serial reference for every worker count, the
-//! per-round tally through the selected [`TallyKernel`] (so long
-//! trajectories double as a sustained stress workload for the packed
-//! kernels), an optional `ld-store` WAL tee recording the full round
-//! stream (`--wal DIR`), and the adversarial coalition sweep where `k`
-//! seeded manipulators re-delegate toward low-variance sinks each round.
+//! exact decision probability of each honest trajectory's final state,
+//! an optional `ld-store` WAL tee recording the full round stream
+//! (`--wal DIR`), and the adversarial coalition sweep where `k` seeded
+//! manipulators re-delegate toward low-variance sinks each round.
 //!
 //! Every number here is a pure function of `(config seed, cell id)`:
-//! cell seeds are FNV-split exactly like the conformance grid's, the
-//! round loop consumes no randomness at all, and the packed tally draws
-//! its coins from per-`(cell, round)` streams. The suite-level
+//! cell seeds are FNV-split exactly like the conformance grid's, and the
+//! round loop consumes no randomness at all. The suite-level
 //! [`DynamicsReport::grid_digest`] folds every trajectory digest and is
-//! pinned by `tests/dynamics_determinism.rs` across worker counts and
-//! kernels.
+//! pinned by `tests/proptest_dynamics.rs` across worker counts.
 
-use crate::engine::TallyKernel;
 use crate::error::{Result, SimError};
 use crate::table::Table;
-use ld_core::csr::CsrForest;
-use ld_core::delegation::{Action, DelegationGraph};
-use ld_core::gain::{accumulate_draw, empty_estimate, DrawTally, GainEstimate, PackedTallyScratch};
+use ld_core::delegation::Action;
 use ld_core::mechanisms::{ApprovalThreshold, Mechanism};
 use ld_core::tally::TieBreak;
 use ld_core::{CompetencyProfile, ProblemInstance};
@@ -35,7 +29,6 @@ use ld_live::dynamics::{
     TieBreakRule, Trajectory,
 };
 use ld_live::{LiveEngine, Update};
-use ld_prob::coins::PackedCompetence;
 use ld_prob::rng::{split_seed, stream_rng};
 use ld_store::{recover, FaultPlan, Store, StoreOptions};
 use std::path::{Path, PathBuf};
@@ -130,9 +123,6 @@ pub struct DynamicsConfig {
     pub workers: usize,
     /// Reduced grid for CI.
     pub quick: bool,
-    /// Per-round tally kernel (the stress surface; never feeds the
-    /// trajectory or its digest).
-    pub kernel: TallyKernel,
     /// Round cap per trajectory.
     pub max_rounds: usize,
     /// Coalition sizes to sweep (`0` rows reuse the honest run).
@@ -152,7 +142,6 @@ impl DynamicsConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             quick: false,
-            kernel: TallyKernel::Exact,
             max_rounds: 32,
             coalitions: vec![0, 1, 2, 4, 8],
             wal: None,
@@ -320,9 +309,9 @@ pub struct CellOutcome {
     pub p_oneshot: f64,
     /// Decision probability (normal) at the end of the trajectory.
     pub p_final: f64,
-    /// Final-round decision probability through the configured
-    /// [`TallyKernel`] (equals `p_oneshot`'s kernel value if no round
-    /// executed).
+    /// Exact decision probability (weighted Poisson-binomial, ties
+    /// incorrect) of the final state; the initial state's if no round
+    /// executed.
     pub kernel_p_final: f64,
     /// Trajectory digest (see [`ld_live::dynamics::Trajectory::digest`]).
     pub digest: u64,
@@ -367,94 +356,6 @@ pub struct DynamicsReport {
     pub grid_digest: u64,
     /// Rendered tables.
     pub tables: Vec<Table>,
-}
-
-/// Per-round tally through the configured kernel.
-///
-/// The kernel value is *observed* state — it never feeds moves, the
-/// trajectory, or the digest — so Exact and Packed runs share digests
-/// while exercising very different tally code.
-struct KernelTally<'a> {
-    kernel: TallyKernel,
-    cell_seed: u64,
-    run_salt: u64,
-    instance: &'a ProblemInstance,
-    /// The packed kernel's competences, and the empty estimate each round
-    /// copies: its direct-voting `P^D` is computed once per trajectory.
-    packed: Option<(PackedCompetence, GainEstimate)>,
-    forest: CsrForest,
-    scratch: PackedTallyScratch,
-    last: f64,
-}
-
-impl<'a> KernelTally<'a> {
-    fn new(
-        kernel: TallyKernel,
-        cell_seed: u64,
-        run_salt: u64,
-        instance: &'a ProblemInstance,
-    ) -> Result<Self> {
-        let packed = match kernel {
-            TallyKernel::Exact => None,
-            TallyKernel::Packed { .. } => {
-                let competence =
-                    PackedCompetence::new(instance.profile().as_slice()).map_err(|e| {
-                        SimError::Config {
-                            reason: format!("packed competence: {e}"),
-                        }
-                    })?;
-                let empty = empty_estimate(instance, TieBreak::Incorrect)?;
-                Some((competence, empty))
-            }
-        };
-        Ok(KernelTally {
-            kernel,
-            cell_seed,
-            run_salt,
-            instance,
-            packed,
-            forest: CsrForest::new(),
-            scratch: PackedTallyScratch::new(),
-            last: 0.0,
-        })
-    }
-
-    /// Tallies the engine's current state; `round` seeds the packed
-    /// kernel's coin stream (Exact consumes no randomness).
-    fn tally(&mut self, engine: &LiveEngine, round: usize) -> std::result::Result<f64, String> {
-        let p = match self.kernel {
-            TallyKernel::Exact => engine
-                .decision_probability_exact(TieBreak::Incorrect)
-                .map_err(|e| format!("exact tally: {e}"))?,
-            TallyKernel::Packed { samples } => {
-                let (competence, empty) = self.packed.as_ref().expect("packed kernel");
-                let dg = DelegationGraph::new(engine.actions().to_vec());
-                let mut est = *empty;
-                let mut rng = stream_rng(
-                    split_seed(self.cell_seed, self.run_salt ^ (round as u64)),
-                    2,
-                );
-                let mut tally = DrawTally::Packed {
-                    competence,
-                    samples,
-                    scratch: &mut self.scratch,
-                };
-                accumulate_draw(
-                    self.instance,
-                    &dg,
-                    TieBreak::Incorrect,
-                    &mut rng,
-                    &mut est,
-                    &mut self.forest,
-                    &mut tally,
-                )
-                .map_err(|e| format!("packed tally: {e}"))?;
-                est.p_mechanism()
-            }
-        };
-        self.last = p;
-        Ok(p)
-    }
 }
 
 /// The WAL tee: one store per trajectory, every accepted move appended
@@ -522,38 +423,28 @@ impl WalTee {
     }
 }
 
-/// Runs one trajectory: parallel proposals, per-round kernel tally,
-/// optional WAL tee. `run_salt` separates the packed coin streams (and
-/// WAL subdirectories) of honest vs coalition runs on the same cell.
+/// Runs one trajectory: parallel proposals and the optional WAL tee,
+/// whose store for this run lives under `wal_tag`'s subdirectory.
 fn run_trajectory(
     cfg: &DynamicsConfig,
     cell: &PreparedCell,
     rules: &[MoveRule],
-    run_salt: u64,
     wal_tag: &str,
-) -> Result<(Trajectory, f64, Option<u64>)> {
+) -> Result<(Trajectory, Option<u64>)> {
     let spec = DynamicsSpec {
         max_rounds: cfg.max_rounds,
         tiebreak: TieBreakRule::Canonical,
     };
-    let mut kernel = KernelTally::new(cfg.kernel, cell.seed, run_salt, &cell.instance)?;
-    let genesis = LiveEngine::new(
-        cell.initial.clone(),
-        cell.instance.profile().as_slice().to_vec(),
-    )
-    .map_err(|e| SimError::Config {
-        reason: format!("cell {}: genesis engine: {e}", cell.id),
-    })?;
-    // Kernel value of the initial state (round 0), so a zero-round
-    // trajectory still reports a tally.
-    kernel
-        .tally(&genesis, 0)
-        .map_err(|reason| SimError::Config {
-            reason: format!("cell {}: {reason}", cell.id),
-        })?;
     let mut wal = match &cfg.wal {
         None => None,
         Some(base) => {
+            let genesis = LiveEngine::new(
+                cell.initial.clone(),
+                cell.instance.profile().as_slice().to_vec(),
+            )
+            .map_err(|e| SimError::Config {
+                reason: format!("cell {}: genesis engine: {e}", cell.id),
+            })?;
             let dir = base.join(format!("{}-{wal_tag}", cell.id.replace('/', "_")));
             std::fs::remove_dir_all(&dir).ok();
             Some(
@@ -572,8 +463,7 @@ fn run_trajectory(
         rules,
         &spec,
         |view, snap, rules, tiebreak| propose_parallel(view, snap, rules, tiebreak, workers),
-        |engine, record, moves| {
-            kernel.tally(engine, record.round)?;
+        |engine, _, moves| {
             if let Some(tee) = wal.as_mut() {
                 // Record but keep iterating on a WAL failure: the
                 // trajectory itself is not durable-dependent.
@@ -601,8 +491,7 @@ fn run_trajectory(
                 })?,
         ),
     };
-    let kernel_p = kernel.last;
-    Ok((traj, kernel_p, wal_records))
+    Ok((traj, wal_records))
 }
 
 /// Picks `k` distinct manipulators from the cell's voter set, seeded by
@@ -626,8 +515,8 @@ pub fn coalition_members(n: usize, k: usize, cell_seed: u64) -> Vec<usize> {
 ///
 /// # Errors
 ///
-/// [`SimError::Config`] on ungeneratable cells, kernel failures, or a
-/// WAL tee that fails to recover bit-identically.
+/// [`SimError::Config`] on ungeneratable cells, a failed exact tally,
+/// or a WAL tee that fails to recover bit-identically.
 pub fn run_dynamics(cfg: &DynamicsConfig) -> Result<DynamicsReport> {
     let _span = ld_obs::span("dynamics.run_ns");
     let cells = grid(cfg.quick);
@@ -639,8 +528,13 @@ pub fn run_dynamics(cfg: &DynamicsConfig) -> Result<DynamicsReport> {
         let prepared = prepare_cell(cell, cfg.seed)?;
         let n = prepared.view.n();
         let honest_rules = vec![MoveRule::BestResponse; n];
-        let (traj, kernel_p, wal_records) =
-            run_trajectory(cfg, &prepared, &honest_rules, 0, "honest")?;
+        let (traj, wal_records) = run_trajectory(cfg, &prepared, &honest_rules, "honest")?;
+        let kernel_p = traj
+            .engine
+            .decision_probability_exact(TieBreak::Incorrect)
+            .map_err(|e| SimError::Config {
+                reason: format!("cell {}: exact tally: {e}", prepared.id),
+            })?;
         let p_oneshot =
             RoundSnapshot::from_parts(&prepared.initial, prepared.instance.profile().as_slice())
                 .map_err(|reason| SimError::Config {
@@ -693,8 +587,7 @@ pub fn run_dynamics(cfg: &DynamicsConfig) -> Result<DynamicsReport> {
             for &m in &members {
                 rules[m] = MoveRule::VarianceSeeking;
             }
-            let (ctraj, _, _) =
-                run_trajectory(cfg, &prepared, &rules, 1 + k as u64, &format!("k{k}"))?;
+            let (ctraj, _) = run_trajectory(cfg, &prepared, &rules, &format!("k{k}"))?;
             let csnap = RoundSnapshot::from_engine(&ctraj.engine);
             digest.u64(k as u64);
             digest.u64(ctraj.digest);
@@ -829,13 +722,6 @@ mod tests {
         let base = run_dynamics(&quick_cfg(1)).unwrap().grid_digest;
         let wide = run_dynamics(&quick_cfg(8)).unwrap().grid_digest;
         assert_eq!(base, wide);
-        let packed = run_dynamics(&DynamicsConfig {
-            kernel: TallyKernel::Packed { samples: 8 },
-            ..quick_cfg(3)
-        })
-        .unwrap()
-        .grid_digest;
-        assert_eq!(base, packed);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! ([`ld_core::csr::CsrForest`]) with one thread-local arena per worker,
 //! so the hot loop does not allocate after warm-up.
 //!
-//! Two tally kernels share that scheduler ([`TallyKernel`]): the default
-//! exact weighted Poisson-binomial per draw, and an opt-in 64-wide
-//! bit-packed sampler ([`Engine::with_packed_tally`]) that estimates the
+//! Two tally kernels share that scheduler: the default exact weighted
+//! Poisson-binomial per draw, and an opt-in 64-wide bit-packed sampler
+//! ([`Engine::with_packed_tally`]) that estimates the
 //! conditional correctness probability by folding packed Bernoulli coin
 //! words (`ld_prob::coins`) against the resolution's weight bit-planes.
 //! The packed path keeps the same per-trial stream discipline — every
@@ -53,8 +53,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 const TRIAL_CHUNK: u64 = 16;
 
 /// Which per-draw tally the engine runs inside the chunk loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TallyKernel {
+#[derive(Debug, Clone, Copy)]
+enum TallyKernel {
     /// Exact conditional correctness per draw (weighted
     /// Poisson-binomial) — the default; the only Monte Carlo noise is
     /// over the mechanism's randomness.
@@ -97,7 +97,6 @@ pub enum TallyKernel {
 pub struct Engine {
     seed: u64,
     workers: usize,
-    tie: TieBreak,
     kernel: TallyKernel,
 }
 
@@ -111,7 +110,6 @@ impl Engine {
         Engine {
             seed,
             workers,
-            tie: TieBreak::Incorrect,
             kernel: TallyKernel::Exact,
         }
     }
@@ -131,12 +129,6 @@ impl Engine {
         self
     }
 
-    /// Overrides the tie-break rule (default: the paper's strict rule).
-    pub fn with_tie_break(mut self, tie: TieBreak) -> Self {
-        self.tie = tie;
-        self
-    }
-
     /// Switches to the 64-wide bit-packed sampled tally with `samples`
     /// packed coin vectors per mechanism draw (clamped to ≥ 1). The
     /// default exact kernel is untouched by this opt-in: estimates from
@@ -151,11 +143,6 @@ impl Engine {
             samples: samples.max(1),
         };
         self
-    }
-
-    /// The tally kernel the chunk loop runs.
-    pub fn tally_kernel(&self) -> TallyKernel {
-        self.kernel
     }
 
     /// The master seed.
@@ -180,7 +167,8 @@ impl Engine {
     /// Estimates `gain(M, G)` with `trials` mechanism draws scheduled in
     /// chunks of `TRIAL_CHUNK` trials over the workers. Deterministic for a
     /// fixed `(seed, trials)` pair — bit-identical across worker counts
-    /// and chunk interleavings (see the module docs for why).
+    /// and chunk interleavings (see the module docs for why). A tie
+    /// counts as an incorrect decision (the paper's strict majority).
     ///
     /// # Errors
     ///
@@ -194,7 +182,7 @@ impl Engine {
         trials: u64,
     ) -> Result<GainEstimate> {
         let _span = ld_obs::span("engine.estimate_gain_ns");
-        let base = empty_estimate(instance, self.tie)?;
+        let base = empty_estimate(instance, TieBreak::Incorrect)?;
         if trials == 0 {
             return Ok(base);
         }
@@ -245,7 +233,6 @@ impl Engine {
                     trials,
                     instance,
                     mechanism,
-                    self.tie,
                     self.seed,
                     &base,
                     &mut forest,
@@ -345,7 +332,6 @@ fn run_chunk(
     trials: u64,
     instance: &ProblemInstance,
     mechanism: &(dyn Mechanism + Sync),
-    tie: TieBreak,
     seed: u64,
     base: &GainEstimate,
     forest: &mut CsrForest,
@@ -364,6 +350,7 @@ fn run_chunk(
             scratch,
         },
     };
+    let tie = TieBreak::Incorrect;
     for t in start..end {
         let mut rng = stream_rng(seed, t);
         let dg = mechanism.run(instance, &mut rng);
@@ -552,18 +539,35 @@ mod tests {
 
     #[test]
     fn packed_zero_samples_clamped_to_one() {
-        let engine = Engine::new(1).with_packed_tally(0);
-        assert_eq!(engine.tally_kernel(), TallyKernel::Packed { samples: 1 });
         let inst = instance(8);
-        let est = engine
-            .estimate_gain(&inst, &ApprovalThreshold::new(1), 4)
-            .unwrap();
-        assert_eq!(est.trials(), 4);
+        let mech = ApprovalThreshold::new(1);
+        let run = |samples| {
+            Engine::new(1)
+                .with_packed_tally(samples)
+                .estimate_gain(&inst, &mech, 4)
+                .unwrap()
+        };
+        let (zero, one) = (run(0), run(1));
+        assert_eq!(zero.trials(), 4);
+        assert_eq!(zero.p_mechanism().to_bits(), one.p_mechanism().to_bits());
     }
 
     #[test]
     fn default_kernel_is_exact() {
-        assert_eq!(Engine::new(1).tally_kernel(), TallyKernel::Exact);
+        // Under direct voting every draw's exact probability is P^D, so
+        // only the exact kernel reads a zero gain; one packed sample per
+        // draw scores each of the 4 draws as 0 or 1.
+        let inst = instance(8);
+        let exact = Engine::new(1)
+            .estimate_gain(&inst, &DirectVoting, 4)
+            .unwrap();
+        assert!(exact.gain().abs() < 1e-12, "gain {}", exact.gain());
+        let sampled = Engine::new(1)
+            .with_packed_tally(1)
+            .estimate_gain(&inst, &DirectVoting, 4)
+            .unwrap();
+        let quarters = sampled.p_mechanism() * 4.0;
+        assert!((quarters - quarters.round()).abs() < 1e-9, "{quarters}");
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! coalition of `k` variance-seeking manipulators and reports how far
 //! they shift the tally variance and decision probability.
 //!
-//! The heavy lifting lives in [`crate::dynamics`]; this wrapper maps
-//! the shared [`ExperimentConfig`] onto a [`DynamicsConfig`] so
-//! `repro dynamics` and `repro all` share seeds and sizing.
+//! The heavy lifting lives in [`crate::dynamics`]; this wrapper picks
+//! [`DynamicsConfig::quick`] or [`DynamicsConfig::new`] by the shared
+//! [`ExperimentConfig`] and takes its worker count, so `repro dynamics`
+//! and `repro all` share seeds, grids and coalitions. The convergence
+//! table's `kernel_P` is the exact decision probability of each honest
+//! trajectory's final state.
 
 use super::ExperimentConfig;
 use crate::dynamics::{run_dynamics, DynamicsConfig};
@@ -24,18 +27,16 @@ use crate::table::Table;
 ///
 /// # Errors
 ///
-/// Propagates [`crate::SimError::Config`] from cell generation, the
-/// tally kernels, or the WAL tee.
+/// Propagates [`crate::SimError::Config`] from cell generation or the
+/// exact tally.
 pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Table>> {
     let dyn_cfg = DynamicsConfig {
         workers: cfg.workers,
-        quick: cfg.quick,
-        coalitions: if cfg.quick {
-            vec![0, 2, 4]
+        ..if cfg.quick {
+            DynamicsConfig::quick(cfg.seed)
         } else {
-            vec![0, 1, 2, 4, 8]
-        },
-        ..DynamicsConfig::new(cfg.seed)
+            DynamicsConfig::new(cfg.seed)
+        }
     };
     let report = run_dynamics(&dyn_cfg)?;
     Ok(report.tables)

@@ -1,16 +1,13 @@
-//! Determinism of the dynamics experiment across the execution axes
-//! that must never matter: the worker count and the tally kernel.
+//! Determinism of the dynamics experiment across the one execution axis
+//! that must never matter: the worker count.
 //!
 //! The trajectory digest is computed from proposals and states only, so
-//! it is bit-identical by construction across workers ∈ {1..16} and
-//! `TallyKernel::{Exact, Packed}`; the pinned constant turns any drift —
-//! a scheduling leak into the proposal order, a kernel feeding the
-//! loop, a grid or seed-split change — into a test failure instead of a
+//! it is bit-identical by construction across workers ∈ {1..16}; the
+//! pinned constant turns any drift — a scheduling leak into the proposal
+//! order, a grid or seed-split change — into a test failure instead of a
 //! silently moved baseline.
 
-use ld_prob::rng::{for_each_case, Rng};
 use ld_sim::dynamics::{run_dynamics, DynamicsConfig};
-use ld_sim::engine::TallyKernel;
 
 /// Master seed shared with the regression corpus witnesses.
 const PIN_SEED: u64 = 0x7E57_0C0D;
@@ -19,40 +16,18 @@ const PIN_SEED: u64 = 0x7E57_0C0D;
 /// the seed split, or the dynamics arithmetic changes.
 const PINNED_GRID_DIGEST: u64 = 0xaef4_5660_a1f5_b924;
 
-fn cfg(workers: usize, kernel: TallyKernel) -> DynamicsConfig {
-    DynamicsConfig {
-        workers,
-        kernel,
-        ..DynamicsConfig::quick(PIN_SEED)
-    }
-}
-
 #[test]
 fn grid_digest_is_pinned_across_all_worker_counts_and_kernels() {
     for workers in 1..=16 {
-        for kernel in [TallyKernel::Exact, TallyKernel::Packed { samples: 8 }] {
-            let rep = run_dynamics(&cfg(workers, kernel)).unwrap();
-            assert_eq!(
-                rep.grid_digest, PINNED_GRID_DIGEST,
-                "grid digest drifted at workers={workers} kernel={kernel:?}"
-            );
-        }
+        let rep = run_dynamics(&DynamicsConfig {
+            workers,
+            ..DynamicsConfig::quick(PIN_SEED)
+        })
+        .unwrap();
+        assert_eq!(
+            rep.grid_digest, PINNED_GRID_DIGEST,
+            "grid digest drifted at workers={workers}"
+        );
+        assert!(rep.outcomes.iter().all(|o| o.kernel_p_final.is_finite()));
     }
-}
-
-/// The Packed kernel's sample count is a stress knob, not an input:
-/// whatever it is, the trajectory digest must not move.
-#[test]
-fn digest_ignores_worker_count_and_packed_samples() {
-    for_each_case(
-        "digest_ignores_worker_count_and_packed_samples",
-        12,
-        |rng| {
-            let workers = rng.gen_range(1usize..=16);
-            let samples = rng.gen_range(1u32..=32);
-            let rep = run_dynamics(&cfg(workers, TallyKernel::Packed { samples })).unwrap();
-            assert_eq!(rep.grid_digest, PINNED_GRID_DIGEST);
-            assert!(rep.outcomes.iter().all(|o| o.kernel_p_final.is_finite()));
-        },
-    );
 }

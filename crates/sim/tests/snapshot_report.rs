@@ -1,7 +1,7 @@
 //! Golden-file snapshot tests for the user-facing renderings.
 //!
 //! Pinned surfaces: the Figure 1 experiment table, the verify verdict
-//! table, and the redacted `--obs-summary` table. Each rendering is
+//! table, both dynamics tables, and the redacted `--obs-summary` table. Each rendering is
 //! compared byte-for-byte against a file in `tests/golden/`; refresh
 //! them after an intentional format change with:
 //!
@@ -14,7 +14,7 @@
 //! `redact_timing = true`, so every golden is bit-stable across machines
 //! for a fixed seed.
 
-use ld_sim::experiments::{fig1_star, ExperimentConfig};
+use ld_sim::experiments::{dynamics, fig1_star, ExperimentConfig};
 use ld_sim::verify;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -79,6 +79,16 @@ fn verify_table_rendering_matches_golden() {
         "verify_table.golden",
         &verify::to_table(&verdicts).to_text(),
     );
+}
+
+/// Both dynamics tables of the quick grid: every cell's `kernel_P`,
+/// `P_final` and trajectory digest, and every coalition row.
+#[test]
+fn dynamics_tables_rendering_matches_golden() {
+    let _guard = lock();
+    let tables = dynamics::run(&ExperimentConfig::quick(1)).expect("dynamics runs");
+    let rendered: String = tables.iter().map(|t| t.to_text()).collect();
+    assert_golden("dynamics_tables.golden", &rendered);
 }
 
 /// The obs summary golden: a fixed workload through the live engine and
